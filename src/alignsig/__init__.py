@@ -43,6 +43,7 @@ from .siggraph import (
     build_report,
     emit_dot,
     rank_systems,
+    run_comparison,
     serialize_report,
 )
 

@@ -14,6 +14,7 @@ import click
 from . import contingency, ingest, matcher, siggraph
 from .errors import AlignsigError
 from .model import (
+    DEFAULT_BERGMANN_CAP,
     Alignment,
     ComparisonConfig,
     Correction,
@@ -68,7 +69,7 @@ def main():
 @click.option("--mode", type=click.Choice(sorted(MODES)), default="nxn")
 @click.option("--baseline", default=None, help="Baseline system name (nx1 mode).")
 @click.option("--alpha", type=float, default=0.05, show_default=True)
-@click.option("--bergmann-cap", type=int, default=10, show_default=True,
+@click.option("--bergmann-cap", type=int, default=DEFAULT_BERGMANN_CAP, show_default=True,
               help="Max systems for Bergmann's exhaustive-set enumeration.")
 @click.option("--dot", "dot_out", type=click.Path(path_type=Path),
               help="Write the significance digraph as DOT.")
@@ -94,10 +95,9 @@ def compare(reference, alignments, matrix, perspective, test_name, correction,
         _fail_validation(exc)
     try:
         m = _resolve_matrix(reference, alignments, matrix, persp)
-        report = siggraph.build_report(m, cfg)
+        graph, report = siggraph.run_comparison(m, cfg)
     except (AlignsigError, ValueError) as exc:
         _fail_validation(exc)
-    graph = siggraph.build_graph(m, cfg)
     if dot_out:
         dot_out.write_bytes(siggraph.emit_dot(graph))
     if report_out:

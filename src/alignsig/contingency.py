@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DuplicateSystemName, MalformedLine, UniverseTooSmall
+from .errors import DuplicateSystemName, MalformedLine, NegativeCount, UniverseTooSmall
 from .model import Alignment, ContingencyTable, Perspective, TaskUniverse
 
 
@@ -69,6 +69,14 @@ class DiscordantMatrix:
             raise ValueError("matrix shape must match system count")
         if any(self.m[i, i] != 0 for i in range(n)):
             raise ValueError("diagonal entries must be zero")
+        seen = set()
+        for name in self.systems:
+            if name in seen:
+                raise DuplicateSystemName(name)
+            seen.add(name)
+        if (self.m < 0).any():
+            i, j = np.argwhere(self.m < 0)[0]
+            raise NegativeCount(self.systems[i], self.systems[j], int(self.m[i, j]))
 
     def index(self, name: str) -> int:
         return self.systems.index(name)
@@ -93,11 +101,6 @@ def build_discordant_matrix(
     if len(systems) < 2:
         raise ValueError("need at least 2 systems")
     names = [a.system_name for a in systems]
-    seen = set()
-    for name in names:
-        if name in seen:
-            raise DuplicateSystemName(name)
-        seen.add(name)
     n = len(systems)
     m = np.zeros((n, n), dtype=np.int64)
     for i in range(n):

@@ -67,6 +67,16 @@ class DuplicateSystemName(AlignsigError):
         super().__init__(f"duplicate system name {name!r}")
 
 
+class NegativeCount(AlignsigError):
+    def __init__(self, row: str, column: str, value: int):
+        self.row = row
+        self.column = column
+        self.value = value
+        super().__init__(
+            f"discordant count for {row!r} against {column!r} is negative ({value})"
+        )
+
+
 class UndefinedStatistic(AlignsigError):
     def __init__(self):
         super().__init__("McNemar statistic is undefined for n01 = n10 = 0")

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
 
-from .errors import ModeMismatch, TooManySystems
-from .model import Correction, Mode
+import numpy as np
 
-DEFAULT_BERGMANN_CAP = 9
+from .errors import ModeMismatch, TooManySystems
+from .model import DEFAULT_BERGMANN_CAP, Correction, Mode
 
 
 @dataclass(frozen=True)
@@ -132,18 +132,6 @@ def adjust_nemenyi(h: HypothesisSet) -> AdjustedResults:
     return AdjustedResults(hypotheses=h.hypotheses, apv=apv, method=Correction.NEMENYI)
 
 
-def _partitions(items: Tuple[int, ...]):
-    """All set partitions of `items`, as lists of lists."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [first]] + part[i + 1:]
-        yield [[first]] + part
-
-
 @lru_cache(maxsize=None)
 def shaffer_true_counts(n_systems: int) -> FrozenSet[int]:
     """Possible numbers of simultaneously true pairwise hypotheses among n systems.
@@ -180,6 +168,52 @@ def _pair_index(systems: Sequence[str]) -> Dict[Tuple[str, str], int]:
     return index
 
 
+def _restricted_growth_strings(n_systems: int) -> np.ndarray:
+    """Every set partition of n systems, one row each, as a restricted-growth string.
+
+    Row r, column s is the class label of system s; labels appear in first-use
+    order, so a[0] = 0 and a[s] <= max(a[:s]) + 1, which makes the encoding
+    unique.  Built one column at a time: a row whose labels reach m has m + 2
+    children (join one of the m + 1 classes, or open a new one).
+    """
+    rows = np.zeros((1, 1), dtype=np.int8)
+    top = np.zeros(1, dtype=np.int8)
+    for _ in range(1, n_systems):
+        children = top.astype(np.intp) + 2
+        parent = np.repeat(np.arange(len(rows)), children)
+        first_child = np.cumsum(children) - children
+        label = (np.arange(len(parent)) - first_child[parent]).astype(np.int8)
+        rows = np.column_stack([rows[parent], label])
+        top = np.maximum(top[parent], label)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _membership(n_systems: int) -> np.ndarray:
+    """Read-only (Bell(n) - 1) x k boolean matrix of the non-empty exhaustive sets.
+
+    Row r is one partition of the systems into equality classes; column i is
+    hypothesis i in itertools.combinations(range(n), 2) order, True when both
+    of its systems share a class.  The all-singletons partition (the empty
+    set) is dropped.  Stored column-major, so one hypothesis's rows are
+    contiguous.  Cached per n for the life of the process.
+    """
+    labels = _restricted_growth_strings(n_systems)
+    a, b = np.array(list(itertools.combinations(range(n_systems), 2))).T
+    member = labels[:, a] == labels[:, b]
+    member = np.asfortranarray(member[member.any(axis=1)])
+    member.flags.writeable = False
+    return member
+
+
+def _exhaustive_membership(n_systems: int, cap: int) -> np.ndarray:
+    if n_systems < 2:
+        raise ValueError("need at least 2 systems")
+    if n_systems > cap:
+        raise TooManySystems(n_systems, cap)
+    return _membership(n_systems)
+
+
 def bergmann_exhaustive_sets(
     n_systems: int, cap: int = DEFAULT_BERGMANN_CAP
 ) -> List[FrozenSet[int]]:
@@ -189,20 +223,8 @@ def bergmann_exhaustive_sets(
     partition of the systems into equality classes yields one exhaustive set:
     the within-class pairs.  Transitivity makes these the only possibilities.
     """
-    if n_systems < 2:
-        raise ValueError("need at least 2 systems")
-    if n_systems > cap:
-        raise TooManySystems(n_systems, cap)
-    pair_idx = {
-        pair: i for i, pair in enumerate(itertools.combinations(range(n_systems), 2))
-    }
-    sets = set()
-    for part in _partitions(tuple(range(n_systems))):
-        members = []
-        for cls in part:
-            for a, b in itertools.combinations(sorted(cls), 2):
-                members.append(pair_idx[(a, b)])
-        sets.add(frozenset(members))
+    member = _exhaustive_membership(n_systems, cap)
+    sets = [frozenset()] + [frozenset(np.flatnonzero(row).tolist()) for row in member]
     return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
 
@@ -214,26 +236,24 @@ def adjust_bergmann(h: HypothesisSet, cap: int = DEFAULT_BERGMANN_CAP) -> Adjust
     hypothesis is therefore max over exhaustive I containing it of
     |I| * min{p_i : i in I}: the smallest alpha at which it leaves every
     qualifying acceptance set.
+
+    Computed over all exhaustive sets at once from the membership matrix:
+    bound_r = |I_r| * min_{j in I_r} p_j, then apv_i = min(1, max_{r : i in I_r}
+    bound_r).  The minimum is the p-value of each row's first member in
+    ascending-p column order, so no float matrix of the sets' size is built.
     """
     _require_nxn(h, Correction.BERGMANN)
-    n = len(h.systems)
-    exhaustive = bergmann_exhaustive_sets(n, cap=cap)
+    member = _exhaustive_membership(len(h.systems), cap)
     # h.hypotheses pair order must map onto combinations(range(n), 2) indices
     name_pair_idx = _pair_index(h.systems)
-    p_by_idx = [0.0] * h.k
+    p_by_idx = np.zeros(h.k)
     for pair, p in h.hypotheses:
         p_by_idx[name_pair_idx[pair]] = p
-    apv_by_idx = [0.0] * h.k
-    for ex in exhaustive:
-        if not ex:
-            continue
-        bound = len(ex) * min(p_by_idx[i] for i in ex)
-        for i in ex:
-            if bound > apv_by_idx[i]:
-                apv_by_idx[i] = bound
-    apv = tuple(
-        min(1.0, apv_by_idx[name_pair_idx[pair]]) for pair, _ in h.hypotheses
-    )
+    by_p = np.argsort(p_by_idx, kind="stable")
+    min_p = p_by_idx[by_p][member[:, by_p].argmax(axis=1)]
+    bound = member.sum(axis=1) * min_p
+    apv_by_idx = [min(1.0, bound[member[:, i]].max().item()) for i in range(h.k)]
+    apv = tuple(apv_by_idx[name_pair_idx[pair]] for pair, _ in h.hypotheses)
     return AdjustedResults(hypotheses=h.hypotheses, apv=apv, method=Correction.BERGMANN)
 
 

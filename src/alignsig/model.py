@@ -14,6 +14,11 @@ from .errors import (
 
 EQUIVALENCE = "="
 
+#: Most systems Bergmann's correction accepts unless the caller raises the cap:
+#: its exhaustive sets number Bell(n), and their membership matrix takes about
+#: 5 MB at n = 10 but 280 MB at n = 12.  The library and the CLI share it.
+DEFAULT_BERGMANN_CAP = 10
+
 
 class Perspective(Enum):
     IFP = "ifp"  # ignore false positives (recall-like)
@@ -156,7 +161,7 @@ class ComparisonConfig:
     mode: Mode = Mode.NXN
     baseline: Optional[str] = None
     alpha: float = 0.05
-    bergmann_cap: int = 9
+    bergmann_cap: int = DEFAULT_BERGMANN_CAP
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:

@@ -110,9 +110,7 @@ def pairwise_outcomes(m: DiscordantMatrix, cfg: ComparisonConfig) -> List[PairOu
     return outcomes
 
 
-def build_graph(m: DiscordantMatrix, cfg: ComparisonConfig) -> SignificanceGraph:
-    """Directed graph with an edge winner -> loser for each rejected pair."""
-    outcomes = pairwise_outcomes(m, cfg)
+def _graph_from_outcomes(nodes, outcomes: List[PairOutcome]) -> SignificanceGraph:
     edges = []
     for o in outcomes:
         if not o.significant:
@@ -124,7 +122,12 @@ def build_graph(m: DiscordantMatrix, cfg: ComparisonConfig) -> SignificanceGraph
                  n_winner=n_w, n_loser=n_l)
         )
     edges.sort(key=lambda e: (e.winner, e.loser))
-    return SignificanceGraph(nodes=tuple(sorted(m.systems)), edges=tuple(edges))
+    return SignificanceGraph(nodes=tuple(sorted(nodes)), edges=tuple(edges))
+
+
+def build_graph(m: DiscordantMatrix, cfg: ComparisonConfig) -> SignificanceGraph:
+    """Directed graph with an edge winner -> loser for each rejected pair."""
+    return _graph_from_outcomes(m.systems, pairwise_outcomes(m, cfg))
 
 
 def emit_dot(g: SignificanceGraph) -> bytes:
@@ -162,10 +165,12 @@ def rank_systems(g: SignificanceGraph) -> RankTable:
     )
 
 
-def build_report(m: DiscordantMatrix, cfg: ComparisonConfig) -> dict:
-    """Full comparison report: config echo, per-pair records, graph, ranking."""
+def run_comparison(
+    m: DiscordantMatrix, cfg: ComparisonConfig
+) -> Tuple[SignificanceGraph, dict]:
+    """One comparison pass: the significance graph and the report built from it."""
     outcomes = pairwise_outcomes(m, cfg)
-    graph = build_graph(m, cfg)
+    graph = _graph_from_outcomes(m.systems, outcomes)
     ranks = rank_systems(graph)
     warnings = sorted(
         f"small discordant sample for ({o.system_a}, {o.system_b}): "
@@ -188,7 +193,7 @@ def build_report(m: DiscordantMatrix, cfg: ComparisonConfig) -> dict:
         if o.note:
             record["note"] = o.note
         pair_records.append(record)
-    return {
+    report = {
         "config": {
             "perspective": cfg.perspective.value,
             "test": cfg.test.value,
@@ -216,6 +221,12 @@ def build_report(m: DiscordantMatrix, cfg: ComparisonConfig) -> dict:
         "ranking_note": "win count + mutual non-significance heuristic",
         "warnings": warnings,
     }
+    return graph, report
+
+
+def build_report(m: DiscordantMatrix, cfg: ComparisonConfig) -> dict:
+    """Full comparison report: config echo, per-pair records, graph, ranking."""
+    return run_comparison(m, cfg)[1]
 
 
 def serialize_report(report: dict) -> bytes:

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from alignsig import siggraph
 from alignsig.cli import main
 from alignsig.data import fixture_path
 
@@ -82,6 +83,34 @@ class TestCompare:
         ])
         assert r1.exit_code == r2.exit_code == 0
         assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
+
+    @pytest.mark.parametrize("text, message", [
+        ("A\tA\tB\nA\t0\t1\t2\nA\t3\t0\t4\nB\t5\t6\t0\n", "duplicate system name 'A'"),
+        ("A\tB\nA\t0\t-1\nB\t2\t0\n", "is negative (-1)"),
+    ], ids=["duplicate-name", "negative-cell"])
+    def test_malformed_matrix_exits_2(self, runner, tmp_path, text, message):
+        path = write(tmp_path, "m.tsv", text)
+        result = runner.invoke(main, ["compare", "--matrix", path, "--correction", "bergmann"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+        assert "Traceback" not in result.output
+
+    def test_one_outcome_pass_per_compare(self, runner, tmp_path, monkeypatch):
+        calls = []
+        original = siggraph.pairwise_outcomes
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(siggraph, "pairwise_outcomes", counted)
+        result = runner.invoke(main, [
+            "compare", "--matrix", str(fixture_path("anatomy-ifp")),
+            "--dot", str(tmp_path / "g.dot"), "--report", str(tmp_path / "r.json"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
 
 
 class TestTable:

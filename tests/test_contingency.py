@@ -2,16 +2,18 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from alignsig.contingency import (
+    DiscordantMatrix,
     build_discordant_matrix,
     build_table_cfp,
     build_table_ifp,
     parse_matrix_tsv,
     write_matrix_tsv,
 )
-from alignsig.errors import DuplicateSystemName, UniverseTooSmall
+from alignsig.errors import DuplicateSystemName, NegativeCount, UniverseTooSmall
 from alignsig.model import (
     Correspondence,
     Perspective,
@@ -193,6 +195,12 @@ class TestDiscordantMatrix:
         s = [align("S", [("a", "1")]), align("S", [])]
         with pytest.raises(DuplicateSystemName):
             build_discordant_matrix(r, s, Perspective.IFP)
+
+    def test_constructor_rejects_negative_cells(self):
+        m = np.array([[0, 3, 1], [2, 0, -4], [0, 0, 0]], dtype=np.int64)
+        with pytest.raises(NegativeCount) as info:
+            DiscordantMatrix(("A", "B", "C"), m, Perspective.IFP)
+        assert (info.value.row, info.value.column, info.value.value) == ("B", "C", -4)
 
     def test_tsv_round_trip(self):
         rng = random.Random(5)

@@ -2,10 +2,13 @@
 
 import itertools
 import math
+import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
+from alignsig import fwer
 from alignsig.errors import ModeMismatch, TooManySystems
 from alignsig.fwer import (
     HypothesisSet,
@@ -62,6 +65,7 @@ def oracle_true_counts(n):
     return out
 
 
+@lru_cache(maxsize=None)
 def oracle_exhaustive_sets(n):
     pair_idx = {p: i for i, p in enumerate(itertools.combinations(range(n), 2))}
     sets = set()
@@ -72,7 +76,21 @@ def oracle_exhaustive_sets(n):
             for pair in itertools.combinations(sorted(cls), 2)
         )
         sets.add(members)
-    return sets
+    return frozenset(sets)
+
+
+def oracle_bergmann_apv(pvals):
+    """Bergmann APVs by brute force: max over exhaustive I containing i of |I| min p_I."""
+    n = round((1 + math.isqrt(1 + 8 * len(pvals))) / 2)
+    apv = [0.0] * len(pvals)
+    for ex in oracle_exhaustive_sets(n):
+        if not ex:
+            continue
+        bound = len(ex) * min(pvals[i] for i in ex)
+        for i in ex:
+            if bound > apv[i]:
+                apv[i] = bound
+    return tuple(min(1.0, v) for v in apv)
 
 
 class TestSingleStep:
@@ -190,9 +208,33 @@ class TestBergmann:
     def test_exhaustive_sets_n2(self):
         assert set(bergmann_exhaustive_sets(2)) == {frozenset(), frozenset({0})}
 
-    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("n", range(2, 8))
     def test_exhaustive_sets_match_partition_oracle(self, n):
-        assert set(bergmann_exhaustive_sets(n)) == oracle_exhaustive_sets(n)
+        sets = bergmann_exhaustive_sets(n)
+        assert len(sets) == len(oracle_exhaustive_sets(n))
+        assert set(sets) == oracle_exhaustive_sets(n)
+        assert sets == sorted(sets, key=lambda s: (len(s), sorted(s)))
+
+    def test_membership_matrix_cached_and_read_only(self):
+        member = fwer._membership(6)
+        assert fwer._membership(6) is member
+        assert member.shape == (203 - 1, 15)  # Bell(6) - 1 non-empty sets
+        assert not member.flags.writeable
+        with pytest.raises(ValueError):
+            member[0, 0] = not member[0, 0]
+
+    def test_adjust_enforces_cap(self):
+        h = nxn_hypotheses([0.5] * 10)  # n = 5
+        with pytest.raises(TooManySystems):
+            adjust_bergmann(h, cap=4)
+        assert adjust_bergmann(h, cap=5).apv == oracle_bergmann_apv([0.5] * 10)
+
+    def test_apv_equals_partition_oracle_n10(self):
+        rng = random.Random(10)
+        pool = [0.0, 0.5, 1.0, 1e-4, 0.01]
+        pvals = [rng.choice(pool) if rng.random() < 0.3 else rng.random()
+                 for _ in range(45)]
+        assert adjust_bergmann(nxn_hypotheses(pvals)).apv == oracle_bergmann_apv(pvals)
 
     def test_cap_enforced(self):
         with pytest.raises(TooManySystems):
@@ -231,6 +273,19 @@ class TestBergmann:
                         accepted |= ex
                 direct_rejections = [i for i in range(6) if i not in accepted]
                 assert result.rejected_at(alpha) == direct_rejections
+
+
+@st.composite
+def bergmann_pvals(draw):
+    """k = n(n-1)/2 p-values for 2 <= n <= 8, with ties, 0.0 and 1.0 frequent."""
+    n = draw(st.integers(2, 8))
+    value = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 0.01]), st.floats(0, 1))
+    return draw(st.lists(value, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+
+
+@given(bergmann_pvals())
+def test_bergmann_apv_equals_partition_oracle(pvals):
+    assert adjust_bergmann(nxn_hypotheses(pvals)).apv == oracle_bergmann_apv(pvals)
 
 
 pvec = st.lists(st.floats(0, 1, allow_nan=False), min_size=3, max_size=45)

@@ -10,6 +10,7 @@ from alignsig.siggraph import (
     emit_dot,
     pairwise_outcomes,
     rank_systems,
+    run_comparison,
     serialize_report,
 )
 
@@ -142,6 +143,18 @@ class TestRanking:
 
 
 class TestReport:
+    def test_default_config_reproduces_published_ranking(self, ifp_matrix):
+        report = build_report(ifp_matrix, ComparisonConfig())
+        assert report["ranking"] == [
+            ["AML"], ["CroMatcher"], ["LYAM", "XMap"], ["FCA-Map"], ["Lily"],
+            ["LogMapLite", "LPHOM"], ["Alin"], ["DKP-AOM"],
+        ]
+
+    def test_run_comparison_graph_and_report_match_the_views(self, ifp_matrix):
+        graph, report = run_comparison(ifp_matrix, cfg())
+        assert graph == build_graph(ifp_matrix, cfg())
+        assert report == build_report(ifp_matrix, cfg())
+
     def test_serialization_deterministic(self, ifp_matrix):
         r1 = serialize_report(build_report(ifp_matrix, cfg()))
         r2 = serialize_report(build_report(ifp_matrix, cfg()))
