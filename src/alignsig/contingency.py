@@ -54,6 +54,14 @@ def build_table_cfp(
     return ContingencyTable(n00=n00, n01=n01, n10=n10, n11=n11, perspective=Perspective.CFP)
 
 
+def _require_unique(names: Sequence[str]) -> None:
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise DuplicateSystemName(name)
+        seen.add(name)
+
+
 @dataclass(frozen=True)
 class DiscordantMatrix:
     """All-pairs in-favor counts: m[i][j] = correspondences counted for system i
@@ -69,11 +77,7 @@ class DiscordantMatrix:
             raise ValueError("matrix shape must match system count")
         if any(self.m[i, i] != 0 for i in range(n)):
             raise ValueError("diagonal entries must be zero")
-        seen = set()
-        for name in self.systems:
-            if name in seen:
-                raise DuplicateSystemName(name)
-            seen.add(name)
+        _require_unique(self.systems)
         if (self.m < 0).any():
             i, j = np.argwhere(self.m < 0)[0]
             raise NegativeCount(self.systems[i], self.systems[j], int(self.m[i, j]))
@@ -101,6 +105,7 @@ def build_discordant_matrix(
     if len(systems) < 2:
         raise ValueError("need at least 2 systems")
     names = [a.system_name for a in systems]
+    _require_unique(names)  # before the all-pairs counting, not after it
     n = len(systems)
     m = np.zeros((n, n), dtype=np.int64)
     for i in range(n):

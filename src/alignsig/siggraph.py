@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .contingency import DiscordantMatrix
 from .fwer import AdjustedResults, HypothesisSet, adjust
@@ -110,7 +110,9 @@ def pairwise_outcomes(m: DiscordantMatrix, cfg: ComparisonConfig) -> List[PairOu
     return outcomes
 
 
-def _graph_from_outcomes(nodes, outcomes: List[PairOutcome]) -> SignificanceGraph:
+def _graph_from_outcomes(
+    nodes: Sequence[str], outcomes: List[PairOutcome]
+) -> SignificanceGraph:
     edges = []
     for o in outcomes:
         if not o.significant:
