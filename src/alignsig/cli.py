@@ -32,7 +32,8 @@ METRICS = {m.value: m for m in matcher.MetricKind}
 
 def _load_alignment(path: Path, system_name: str) -> Alignment:
     data = path.read_bytes()
-    if data.lstrip().startswith(b"<"):
+    # an XML file may open with the UTF-8 byte order mark
+    if data.removeprefix(b"\xef\xbb\xbf").lstrip().startswith(b"<"):
         return ingest.parse_alignment_xml(data, system_name)
     return ingest.parse_alignment_tsv(data, system_name)
 

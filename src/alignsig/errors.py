@@ -40,6 +40,19 @@ class XmlSyntax(AlignsigError):
         super().__init__(f"XML syntax error at {position}: {message}")
 
 
+class BadMeasure(AlignsigError):
+    def __init__(self, cell_index: int, text: str):
+        self.cell_index = cell_index
+        self.text = text
+        super().__init__(f"Cell {cell_index}: measure {text!r} is not a number in [0, 1]")
+
+
+class Undecodable(AlignsigError):
+    def __init__(self, offset: int, reason: str):
+        self.offset = offset
+        super().__init__(f"byte {offset}: not valid UTF-8 ({reason})")
+
+
 class MissingEntity(AlignsigError):
     def __init__(self, cell_index: int):
         self.cell_index = cell_index

@@ -12,10 +12,12 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .errors import (
+    BadMeasure,
     ConfidenceOutOfRange,
     DuplicateId,
     MalformedLine,
     MissingEntity,
+    Undecodable,
     XmlSyntax,
 )
 from .model import Alignment, Correspondence, canonicalize_alignment
@@ -33,7 +35,10 @@ class LabelTable:
 
 def _data_lines(data: bytes):
     """Yield (line_no, text) for non-blank, non-comment lines."""
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise Undecodable(exc.start, exc.reason) from None
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -74,8 +79,19 @@ def _local(tag: str) -> str:
 def _resource(elem) -> str | None:
     for key, value in elem.attrib.items():
         if _local(key) == "resource":
-            return value
+            return value.strip() or None
     return None
+
+
+def _measure(cell_index: int, text: str | None) -> float:
+    text = (text or "").strip()
+    try:
+        value = float(text)
+    except ValueError:
+        raise BadMeasure(cell_index, text) from None
+    if not 0.0 <= value <= 1.0:
+        raise BadMeasure(cell_index, text)
+    return value
 
 
 def parse_alignment_xml(data: bytes, system_name: str) -> Alignment:
@@ -84,6 +100,9 @@ def parse_alignment_xml(data: bytes, system_name: str) -> Alignment:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
         raise XmlSyntax(exc.position, str(exc)) from exc
+    except LookupError as exc:
+        # an unknown encoding named by the XML declaration, which opens line 1
+        raise XmlSyntax((1, 0), str(exc)) from exc
     out = []
     cell_index = 0
     for elem in root.iter():
@@ -99,7 +118,7 @@ def parse_alignment_xml(data: bytes, system_name: str) -> Alignment:
             elif name == "entity2":
                 entity2 = _resource(child)
             elif name == "measure":
-                measure = float(child.text.strip())
+                measure = _measure(cell_index, child.text)
             elif name == "relation":
                 relation = (child.text or "=").strip()
         if not entity1 or not entity2:

@@ -2,7 +2,9 @@
 
 Labels are normalized once (case-fold, underscore/hyphen to space, collapsed
 whitespace), a dense similarity matrix is built, and the best one-to-one
-matching is extracted with the Hungarian method.
+matching is extracted with the Hungarian method.  The Levenshtein matrix comes
+from a bit-parallel kernel over all label pairs (Myers 1999; Hyyrö 2003); the
+other metrics are computed pair by pair.
 """
 
 from __future__ import annotations
@@ -53,25 +55,131 @@ def _hamming(a: str, b: str) -> float:
     return 1.0 - mismatches / longer
 
 
-def _levenshtein_distance(a: str, b: str) -> int:
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+#: Pairs per tile of the bit-parallel Levenshtein kernel.  Its state is a few
+#: uint64 arrays with one element per pair and pattern word, so the working set
+#: stays at a few hundred KB however many labels there are; only the output
+#: matrix grows with them.
+_LEVENSHTEIN_TILE_PAIRS = 8192
+
+_ONE = np.uint64(1)
+_TOP_BIT = np.uint64(63)
 
 
-def _levenshtein(a: str, b: str) -> float:
-    longer = max(len(a), len(b))
-    if longer == 0:
-        return 1.0
-    return 1.0 - _levenshtein_distance(a, b) / longer
+def _encode(labels: Sequence[str]) -> Tuple[np.ndarray, np.ndarray, int]:
+    """(lengths, codes, alphabet size): characters as dense codes, rows zero-padded."""
+    lengths = np.array([len(s) for s in labels], dtype=np.intp)
+    text = "".join(labels)
+    alphabet = {c: code for code, c in enumerate(set(text))}
+    codes = np.zeros((len(labels), max(int(lengths.max(initial=0)), 1)), dtype=np.intp)
+    codes[np.arange(codes.shape[1]) < lengths[:, None]] = np.fromiter(
+        map(alphabet.__getitem__, text), dtype=np.intp, count=len(text)
+    )
+    return lengths, codes, len(alphabet)
+
+
+def _levenshtein_tile(
+    src_len: np.ndarray,
+    src_codes: np.ndarray,
+    tgt_len: np.ndarray,
+    tgt_codes: np.ndarray,
+    alphabet: int,
+) -> np.ndarray:
+    """Edit distances, shape (targets, sources), by Myers/Hyyrö bit vectors.
+
+    Each source is the pattern, one bit per character in 64-bit words; each
+    step consumes one character of every target still running.  Targets must
+    come longest first, so those still running form a prefix.  A target's
+    distance is read off its last column: D[m][n] = n + #(+1) - #(-1) over
+    the m vertical deltas.
+    """
+    n_src, n_tgt = len(src_len), len(tgt_len)
+    words = max(1, -(-int(src_len.max()) // 64))
+    # peq[w, a, k]: bit b set where source k has character a at 64 w + b
+    peq = np.zeros((words, alphabet, n_src), dtype=np.uint64)
+    k, i = np.nonzero(np.arange(src_codes.shape[1]) < src_len[:, None])
+    np.bitwise_or.at(
+        peq, (i >> 6, src_codes[k, i], k), np.left_shift(_ONE, (i & 63).astype(np.uint64))
+    )
+    inside = np.bitwise_or.reduce(peq, axis=1)[:, None, :]
+    vp = np.full((words, n_tgt, n_src), ~np.uint64(0))
+    vn = np.zeros((words, n_tgt, n_src), dtype=np.uint64)
+    dist = np.empty((n_tgt, n_src), dtype=np.int64)
+    scratch = np.empty((4, n_tgt, n_src), dtype=np.uint64)
+    # running[j]: how many targets are longer than j
+    running = np.searchsorted(-tgt_len, -np.arange(int(tgt_len[0]) + 1), side="left")
+    done = n_tgt
+    for j, act in enumerate(running.tolist()):
+        if act < done:
+            up = np.bitwise_count(vp[:, act:done] & inside).sum(axis=0, dtype=np.int64)
+            down = np.bitwise_count(vn[:, act:done] & inside).sum(axis=0, dtype=np.int64)
+            dist[act:done] = j + up - down
+            done = act
+        if act == 0:
+            break
+        x, d0, hp, hn = (buf[:act] for buf in scratch)
+        chars = tgt_codes[:act, j]
+        # row 0 of the DP is 0, 1, 2, ...: a +1 horizontal delta enters word 0
+        hp_in, hn_in = _ONE, np.uint64(0)
+        for w in range(words):
+            p, n = vp[w, :act], vn[w, :act]
+            # x = Eq | VN | HN shifted in; d0 = (((x & VP) + VP) ^ VP) | x
+            np.take(peq[w], chars, axis=0, out=x)
+            x |= n
+            x |= hn_in
+            np.bitwise_and(x, p, out=d0)
+            d0 += p
+            d0 ^= p
+            d0 |= x
+            # HP = VN | ~(d0 | VP), HN = VP & d0
+            np.bitwise_or(d0, p, out=hp)
+            np.invert(hp, out=hp)
+            hp |= n
+            np.bitwise_and(p, d0, out=hn)
+            if w + 1 < words:
+                # the deltas of the word's last row enter bit 0 of the next word
+                carry = hp >> _TOP_BIT, hn >> _TOP_BIT
+            hp <<= _ONE
+            hp |= hp_in
+            hn <<= _ONE
+            hn |= hn_in
+            # VP = HN | ~(d0 | HP), VN = HP & d0
+            np.bitwise_or(d0, hp, out=p)
+            np.invert(p, out=p)
+            p |= hn
+            np.bitwise_and(hp, d0, out=n)
+            if w + 1 < words:
+                hp_in, hn_in = carry
+    return dist
+
+
+def _levenshtein_matrix(src_labels: Sequence[str], tgt_labels: Sequence[str]) -> np.ndarray:
+    """Levenshtein similarity 1 - d / max(len a, len b) of every label pair.
+
+    Two empty labels score 1.0 and one empty label 0.0.  Pairs are processed
+    in tiles of at most _LEVENSHTEIN_TILE_PAIRS (one source row at least).
+    """
+    lengths, codes, alphabet = _encode([*src_labels, *tgt_labels])
+    n_src = len(src_labels)
+    src_len, src_codes = lengths[:n_src], codes[:n_src]
+    order = np.argsort(-lengths[n_src:], kind="stable")
+    tgt_len, tgt_codes = lengths[n_src:][order], codes[n_src:][order]
+    s = np.empty((n_src, len(order)))
+    cols = max(1, min(len(order), _LEVENSHTEIN_TILE_PAIRS))
+    rows = max(1, _LEVENSHTEIN_TILE_PAIRS // cols)
+    for c0 in range(0, len(order), cols):
+        tc = slice(c0, c0 + cols)
+        for r0 in range(0, n_src, rows):
+            sr = slice(r0, r0 + rows)
+            dist = _levenshtein_tile(
+                src_len[sr], src_codes[sr], tgt_len[tc], tgt_codes[tc], alphabet
+            ).T
+            longer = np.maximum(src_len[sr, None], tgt_len[None, tc])
+            s[sr, order[tc]] = 1.0 - dist / np.maximum(longer, 1)
+    return s
+
+
+def _levenshtein_pair(a: str, b: str) -> float:
+    return float(_levenshtein_matrix([a], [b])[0, 0])
 
 
 def _jaro(a: str, b: str) -> float:
@@ -216,7 +324,7 @@ _METRICS = {
     MetricKind.HAMMING: _hamming,
     MetricKind.JARO: _jaro,
     MetricKind.JARO_WINKLER: _jaro_winkler,
-    MetricKind.LEVENSHTEIN: _levenshtein,
+    MetricKind.LEVENSHTEIN: _levenshtein_pair,
     MetricKind.NGRAM: _ngram,
     MetricKind.NEEDLEMAN_WUNSCH: _needleman_wunsch,
     MetricKind.SMOA: _smoa,
@@ -248,10 +356,13 @@ def build_similarity_matrix(
         raise EmptyTable("label tables must be non-empty")
     src_norm = [(id_, normalize(label)) for id_, label in src.rows]
     tgt_norm = [(id_, normalize(label)) for id_, label in tgt.rows]
-    s = np.zeros((len(src_norm), len(tgt_norm)))
-    for i, (_, la) in enumerate(src_norm):
-        for j, (_, lb) in enumerate(tgt_norm):
-            s[i, j] = similarity(metric, la, lb)
+    if metric is MetricKind.LEVENSHTEIN:
+        s = _levenshtein_matrix([l for _, l in src_norm], [l for _, l in tgt_norm])
+    else:
+        s = np.zeros((len(src_norm), len(tgt_norm)))
+        for i, (_, la) in enumerate(src_norm):
+            for j, (_, lb) in enumerate(tgt_norm):
+                s[i, j] = similarity(metric, la, lb)
     return SimilarityMatrix(
         row_ids=tuple(id_ for id_, _ in src_norm),
         col_ids=tuple(id_ for id_, _ in tgt_norm),

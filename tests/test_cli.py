@@ -141,6 +141,48 @@ class TestTable:
         assert lines[1] == "S1\t0\t1"
         assert lines[2] == "S2\t2\t0"
 
+    @pytest.mark.parametrize("measure", [b"<measure/>", b"<measure>high</measure>",
+                                         b"<measure>2</measure>"])
+    def test_bad_xml_measure_exits_2_naming_the_cell(self, runner, tmp_path, measure):
+        ref = write(tmp_path, "ref.tsv", REF)
+        a = write(tmp_path, "a.tsv", SYS_A)
+        b = tmp_path / "b.xml"
+        b.write_bytes(b'<r><Cell><entity1 resource="r2"/><entity2 resource="t2"/>'
+                      + measure + b"</Cell></r>")
+        result = runner.invoke(main, [
+            "table", "--reference", ref,
+            "--alignment", f"S1={a}", "--alignment", f"S2={b}",
+        ])
+        assert result.exit_code == 2
+        assert "Cell 0: measure" in result.output
+
+    def test_byte_order_marks_on_tsv_and_xml_inputs(self, runner, tmp_path):
+        bom = b"\xef\xbb\xbf"
+        ref = tmp_path / "ref.tsv"
+        ref.write_bytes(bom + REF.encode())
+        a = write(tmp_path, "a.tsv", SYS_A)
+        b = tmp_path / "b.xml"
+        b.write_bytes(bom + b'<?xml version="1.0"?><r>'
+                      b'<Cell><entity1 resource="r2"/><entity2 resource="t2"/></Cell>'
+                      b'<Cell><entity1 resource="r3"/><entity2 resource="t3"/></Cell></r>')
+        result = runner.invoke(main, [
+            "table", "--reference", str(ref),
+            "--alignment", f"S1={a}", "--alignment", f"S2={b}",
+        ])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[1:] == ["S1\t0\t1", "S2\t1\t0"]
+
+    def test_undecodable_input_exits_2(self, runner, tmp_path):
+        ref = tmp_path / "ref.tsv"
+        ref.write_bytes(b"r1\t\xff\n")
+        a = write(tmp_path, "a.tsv", SYS_A)
+        result = runner.invoke(main, [
+            "table", "--reference", str(ref),
+            "--alignment", f"S1={a}", "--alignment", f"S2={a}",
+        ])
+        assert result.exit_code == 2
+        assert "byte 3" in result.output
+
     def test_identical_systems_zero_matrix(self, runner, tmp_path):
         ref = write(tmp_path, "ref.tsv", REF)
         a = write(tmp_path, "a.tsv", SYS_A)

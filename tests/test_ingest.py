@@ -1,11 +1,14 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from alignsig.errors import (
+    AlignsigError,
+    BadMeasure,
     ConfidenceOutOfRange,
     DuplicateId,
     MalformedLine,
     MissingEntity,
+    Undecodable,
     XmlSyntax,
 )
 from alignsig.ingest import (
@@ -15,6 +18,8 @@ from alignsig.ingest import (
     write_alignment_tsv,
 )
 from alignsig.model import Correspondence, canonicalize_alignment
+
+BOM = b"\xef\xbb\xbf"
 
 ALIGNMENT_XML = b"""<?xml version="1.0"?>
 <rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -54,6 +59,16 @@ class TestTsvParsing:
         with pytest.raises(ConfidenceOutOfRange):
             parse_alignment_tsv(b"a\tb\t=\t1.5\n", "s")
 
+    def test_byte_order_mark_is_not_part_of_the_first_id(self):
+        a = parse_alignment_tsv(BOM + b"a\tb\n", "s")
+        assert [c.key for c in a] == [("a", "b", "=")]
+
+    def test_undecodable_byte_reports_its_offset(self):
+        with pytest.raises(Undecodable) as exc:
+            parse_alignment_tsv(b"a\tb\nc\t\xff\n", "s")
+        assert exc.value.offset == 6
+        assert "byte 6" in str(exc.value)
+
 
 class TestXmlParsing:
     def test_single_cell(self):
@@ -72,6 +87,35 @@ class TestXmlParsing:
             parse_alignment_xml(xml, "s")
         assert exc.value.cell_index == 0
 
+    @pytest.mark.parametrize("measure, text", [
+        (b"<measure/>", ""),
+        (b"<measure>  </measure>", ""),
+        (b"<measure>high</measure>", "high"),
+        (b"<measure>1.5</measure>", "1.5"),
+        (b"<measure>-0.1</measure>", "-0.1"),
+        (b"<measure>nan</measure>", "nan"),
+    ])
+    def test_bad_measure_names_the_cell_and_the_text(self, measure, text):
+        good = b'<Cell><entity1 resource="a"/><entity2 resource="b"/></Cell>'
+        bad = b'<Cell><entity1 resource="c"/><entity2 resource="d"/>' + measure + b"</Cell>"
+        with pytest.raises(BadMeasure) as exc:
+            parse_alignment_xml(b"<r>" + good + bad + b"</r>", "s")
+        assert (exc.value.cell_index, exc.value.text) == (1, text)
+        assert str(exc.value).startswith(f"Cell 1: measure {text!r}")
+
+    def test_byte_order_mark_before_the_document(self):
+        a = parse_alignment_xml(BOM + ALIGNMENT_XML, "s")
+        assert [c.key for c in a] == [("http://x#A", "http://y#B", "=")]
+
+    def test_unknown_declared_encoding(self):
+        with pytest.raises(XmlSyntax):
+            parse_alignment_xml(b'<?xml version="1.0" encoding="bogus"?><r/>', "s")
+
+    def test_blank_resource_is_a_missing_entity(self):
+        xml = b'<r><Cell><entity1 resource=" "/><entity2 resource="b"/></Cell></r>'
+        with pytest.raises(MissingEntity):
+            parse_alignment_xml(xml, "s")
+
     def test_truncated_document_reports_position(self):
         with pytest.raises(XmlSyntax) as exc:
             parse_alignment_xml(ALIGNMENT_XML[:80], "s")
@@ -89,6 +133,15 @@ class TestLabelList:
 
     def test_empty(self):
         assert len(parse_label_list(b"")) == 0
+
+    def test_byte_order_mark_is_not_part_of_the_first_id(self):
+        t = parse_label_list(BOM + b"m1\teye\n")
+        assert t.rows == (("m1", "eye"),)
+
+    def test_undecodable_byte_reports_its_offset(self):
+        with pytest.raises(Undecodable) as exc:
+            parse_label_list(b"m1\t\xffeye\n")
+        assert exc.value.offset == 3
 
 
 class TestWriting:
@@ -113,3 +166,30 @@ corr_strategy = st.builds(
 def test_tsv_round_trip_is_identity(raw):
     a = canonicalize_alignment(raw, "s")
     assert parse_alignment_tsv(write_alignment_tsv(a), "s") == a
+
+
+# fragments of both formats, so that generated inputs get past the first check
+_FRAGMENTS = [
+    BOM, b"\xff", b"\x00", b"\t", b"\n", b"\r", b" ", b"#", b"=", b"<", b">",
+    b"0.5", b"1.5", b"nan", b"-", b"a", b"\xc3\xa9",
+    b'<?xml version="1.0"?>', b'<?xml version="1.0" encoding="latin-1"?>',
+    b"<r>", b"</r>", b"<Cell>", b"</Cell>", b'<entity1 resource="a"/>',
+    b'<entity2 resource="b"/>', b'<entity1 resource=" "/>', b"<measure>",
+    b"</measure>", b"<measure/>", b"<relation>", b"</relation>",
+]
+_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map(b"".join),
+)
+
+
+@settings(max_examples=300)
+@given(_BYTES)
+def test_parsers_return_or_raise_only_alignsig_errors(data):
+    for parse in (lambda d: parse_alignment_tsv(d, "s"),
+                  lambda d: parse_alignment_xml(d, "s"),
+                  parse_label_list):
+        try:
+            parse(data)
+        except AlignsigError:
+            pass

@@ -5,7 +5,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from alignsig import matcher
 from alignsig.errors import EmptyTable
 from alignsig.ingest import LabelTable
 from alignsig.matcher import (
@@ -37,6 +39,35 @@ def levenshtein_oracle(a, b):
                 d[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
             )
     return d[len(a)][len(b)]
+
+
+def scalar_levenshtein_distance(a, b):
+    """Two-row DP edit distance: the scalar path the bit-parallel kernel replaced."""
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
+def scalar_levenshtein(a, b):
+    """The matcher's Levenshtein similarity, as the scalar path computed it."""
+    longer = max(len(a), len(b))
+    if longer == 0:
+        return 1.0
+    return 1.0 - scalar_levenshtein_distance(a, b) / longer
+
+
+def oracle_matrix(src, tgt):
+    return np.array([[scalar_levenshtein(a, b) for b in tgt] for a in src]).reshape(
+        len(src), len(tgt)
+    )
 
 
 class TestNormalize:
@@ -91,13 +122,14 @@ class TestMetrics:
     def test_levenshtein_matches_oracle_randomized(self):
         rng = random.Random(13)
         for _ in range(100):
-            a = "".join(rng.choice("abcd") for _ in range(rng.randint(0, 8)))
-            b = "".join(rng.choice("abcd") for _ in range(rng.randint(0, 8)))
+            # up to 140 characters: patterns of one, two and three 64-bit words
+            a = "".join(rng.choice("abcd") for _ in range(rng.randint(0, 140)))
+            b = "".join(rng.choice("abcd") for _ in range(rng.randint(0, 140)))
             longer = max(len(a), len(b))
             expected = 1.0 if longer == 0 else 1 - levenshtein_oracle(a, b) / longer
             if not a and b or a and not b:
                 expected = 0.0  # empty-vs-nonempty convention
-            assert similarity(MetricKind.LEVENSHTEIN, a, b) == pytest.approx(expected)
+            assert similarity(MetricKind.LEVENSHTEIN, a, b) == expected
 
     @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_range_symmetry_reflexivity(self, metric):
@@ -158,6 +190,63 @@ class TestSimilarityMatrix:
         with pytest.raises(EmptyTable):
             build_similarity_matrix(LabelTable(rows=()), LabelTable(rows=(("t", "x"),)),
                                     MetricKind.EQUAL)
+
+
+# a small alphabet, so that labels share characters, plus non-ASCII characters,
+# one of them outside the Basic Multilingual Plane
+_LABEL_CHARS = "ab é" + "ß\u0416\u6f22\U0001F600"
+_LABELS = st.lists(st.text(alphabet=_LABEL_CHARS, max_size=150), min_size=1, max_size=4)
+# lengths on both sides of the 64- and 128-character word boundaries
+_BOUNDARY_LENGTHS = (0, 1, 2, 63, 64, 65, 127, 128, 129, 150)
+
+
+class TestLevenshteinKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(_LABELS, _LABELS)
+    def test_matrix_equals_scalar_oracle(self, src, tgt):
+        assert np.array_equal(matcher._levenshtein_matrix(src, tgt), oracle_matrix(src, tgt))
+
+    def test_word_boundary_lengths(self):
+        rng = random.Random(53)
+        labels = ["".join(rng.choice("abc") for _ in range(n)) for n in _BOUNDARY_LENGTHS]
+        # long labels that differ only past the first word
+        labels += ["a" * 70 + "b" * 60, "a" * 70 + "c" * 60, "x" + "a" * 149]
+        assert np.array_equal(matcher._levenshtein_matrix(labels, labels[::-1]),
+                              oracle_matrix(labels, labels[::-1]))
+
+    def test_labels_empty_after_normalization(self):
+        src = LabelTable(rows=(("s1", "__"), ("s2", "eye"), ("s3", "-")))
+        tgt = LabelTable(rows=(("t1", "-"), ("t2", "Eye"), ("t3", "ear")))
+        m = build_similarity_matrix(src, tgt, MetricKind.LEVENSHTEIN)
+        assert m.s.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 1 - 2 / 3], [1.0, 0.0, 0.0]]
+
+    @pytest.mark.parametrize("src, tgt", [
+        (["eye"], ["eye", "ear", "", "optic nerve", "a" * 100]),
+        (["eye", "ear", "", "optic nerve", "a" * 100], ["eye"]),
+    ])
+    def test_single_row_and_single_column(self, src, tgt):
+        m = matcher._levenshtein_matrix(src, tgt)
+        assert m.shape == (len(src), len(tgt))
+        assert np.array_equal(m, oracle_matrix(src, tgt))
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5, 7])
+    def test_tiny_tile_budget(self, monkeypatch, budget):
+        # 9 x 8 pairs: many tiles, split over targets when the budget is below
+        # 8, with ragged last tiles on both axes
+        rng = random.Random(61)
+        src = ["".join(rng.choice("abc") for _ in range(rng.randint(0, 70))) for _ in range(9)]
+        tgt = ["".join(rng.choice("abc") for _ in range(rng.randint(0, 70))) for _ in range(8)]
+        expected = matcher._levenshtein_matrix(src, tgt)
+        monkeypatch.setattr(matcher, "_LEVENSHTEIN_TILE_PAIRS", budget)
+        assert np.array_equal(matcher._levenshtein_matrix(src, tgt), expected)
+        assert np.array_equal(expected, oracle_matrix(src, tgt))
+
+    def test_similarity_is_a_view_of_the_matrix(self):
+        labels = ["", "eye", "ear", "optic nerve", "nerve optic", "b" * 90]
+        m = matcher._levenshtein_matrix(labels, labels)
+        for i, a in enumerate(labels):
+            for j, b in enumerate(labels):
+                assert similarity(MetricKind.LEVENSHTEIN, a, b) == m[i, j]
 
 
 def brute_force_max(s):
