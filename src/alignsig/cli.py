@@ -32,8 +32,10 @@ METRICS = {m.value: m for m in matcher.MetricKind}
 
 def _load_alignment(path: Path, system_name: str) -> Alignment:
     data = path.read_bytes()
-    # an XML file may open with the UTF-8 byte order mark
-    if data.removeprefix(b"\xef\xbb\xbf").lstrip().startswith(b"<"):
+    # an XML file may open with the UTF-8 byte order mark; a UTF-16 or UTF-32
+    # file can only be XML, since TSV files are read as UTF-8
+    if (data.startswith(ingest.WIDE_BOMS)
+            or data.removeprefix(b"\xef\xbb\xbf").lstrip().startswith(b"<")):
         return ingest.parse_alignment_xml(data, system_name)
     return ingest.parse_alignment_tsv(data, system_name)
 

@@ -9,22 +9,64 @@ system that invents mappings is penalized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DuplicateSystemName, MalformedLine, NegativeCount, UniverseTooSmall
+from .ingest import text_lines
 from .model import Alignment, ContingencyTable, Perspective, TaskUniverse
+
+
+def _overlaps(
+    r: Alignment, systems: Sequence[Alignment]
+) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    """Pairwise overlaps of the systems inside and outside the reference.
+
+    Every correspondence key gets an integer id once: the reference's keys take
+    ``0..nr-1`` and keys only systems have take the ids after them.  Each
+    system becomes a row of bits over those ids, packed eight to a byte, and
+    ``g_r[i, j] = |Ai & Aj & R|``, ``g_f[i, j] = |(Ai & Aj) - R|`` are popcounts
+    of the rows' AND.  Returns ``(g_r, g_f, nr, nids)``, where
+    ``nids = |R | A1 | ... | An|``.
+    """
+    ids: Dict[tuple, int] = {}
+    for c in r:
+        ids.setdefault(c.key, len(ids))
+    nr = len(ids)
+    rows = [np.fromiter((ids.setdefault(c.key, len(ids)) for c in a), dtype=np.intp)
+            for a in systems]
+    x = np.zeros((len(systems), len(ids)), dtype=bool)
+    for i, row in enumerate(rows):
+        x[i, row] = True
+    return _gram(x[:, :nr]), _gram(x[:, nr:]), nr, len(ids)
+
+
+def _gram(block: np.ndarray) -> np.ndarray:
+    """``g[i, j]`` = number of columns where rows i and j of ``block`` are both set."""
+    packed = np.packbits(block, axis=1)  # zero padding never adds to a popcount
+    return np.stack([np.bitwise_count(row & packed).sum(axis=1, dtype=np.int64)
+                     for row in packed])
+
+
+def _in_favor_counts(g_r: np.ndarray, g_f: np.ndarray, perspective: Perspective) -> np.ndarray:
+    """``m[i, j] = |(Ai & R) - Aj|``, plus ``|Aj - Ai - R|`` under CFP."""
+    m = np.diag(g_r)[:, None] - g_r
+    if perspective is Perspective.CFP:
+        m += np.diag(g_f)[None, :] - g_f
+    return m
 
 
 def build_table_ifp(r: Alignment, a1: Alignment, a2: Alignment) -> ContingencyTable:
     """2x2 table ignoring false positives; the four cells partition R."""
-    R, A1, A2 = r.key_set(), a1.key_set(), a2.key_set()
+    g_r, g_f, nr, _ = _overlaps(r, (a1, a2))
+    m = _in_favor_counts(g_r, g_f, Perspective.IFP)
+    n11 = int(g_r[0, 1])
     return ContingencyTable(
-        n00=len(R - (A1 | A2)),
-        n01=len((A2 & R) - A1),
-        n10=len((A1 & R) - A2),
-        n11=len(A1 & A2 & R),
+        n00=nr - int(g_r[0, 0]) - int(g_r[1, 1]) + n11,
+        n01=int(m[1, 0]),
+        n10=int(m[0, 1]),
+        n11=n11,
         perspective=Perspective.IFP,
     )
 
@@ -41,17 +83,17 @@ def build_table_cfp(
     when a TaskUniverse with total_pairs is supplied; the McNemar statistics
     never need it.
     """
-    R, A1, A2 = r.key_set(), a1.key_set(), a2.key_set()
-    n00 = len(R - (A1 | A2)) + len((A1 & A2) - R)
-    n01 = len((A2 & R) - A1) + len(A1 - A2 - R)
-    n10 = len((A1 & R) - A2) + len(A2 - A1 - R)
+    g_r, g_f, nr, union = _overlaps(r, (a1, a2))
+    m = _in_favor_counts(g_r, g_f, Perspective.CFP)
+    both_correct = int(g_r[0, 1])
+    n00 = nr - int(g_r[0, 0]) - int(g_r[1, 1]) + both_correct + int(g_f[0, 1])
     n11 = None
     if t is not None and t.total_pairs is not None:
-        union = len(R | A1 | A2)
         if t.total_pairs < union:
             raise UniverseTooSmall(t.total_pairs, union)
-        n11 = len(A1 & A2 & R) + t.total_pairs - union
-    return ContingencyTable(n00=n00, n01=n01, n10=n10, n11=n11, perspective=Perspective.CFP)
+        n11 = both_correct + t.total_pairs - union
+    return ContingencyTable(n00=n00, n01=int(m[1, 0]), n10=int(m[0, 1]), n11=n11,
+                            perspective=Perspective.CFP)
 
 
 def _require_unique(names: Sequence[str]) -> None:
@@ -90,14 +132,6 @@ class DiscordantMatrix:
         return int(self.m[i, j]), int(self.m[j, i])
 
 
-def _in_favor(r: Alignment, ai: Alignment, aj: Alignment, perspective: Perspective) -> int:
-    R, Ai, Aj = r.key_set(), ai.key_set(), aj.key_set()
-    count = len((Ai & R) - Aj)
-    if perspective is Perspective.CFP:
-        count += len(Aj - Ai - R)
-    return count
-
-
 def build_discordant_matrix(
     r: Alignment, systems: Sequence[Alignment], perspective: Perspective
 ) -> DiscordantMatrix:
@@ -106,12 +140,8 @@ def build_discordant_matrix(
         raise ValueError("need at least 2 systems")
     names = [a.system_name for a in systems]
     _require_unique(names)  # before the all-pairs counting, not after it
-    n = len(systems)
-    m = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                m[i, j] = _in_favor(r, systems[i], systems[j], perspective)
+    g_r, g_f, _, _ = _overlaps(r, systems)
+    m = _in_favor_counts(g_r, g_f, perspective)
     return DiscordantMatrix(systems=tuple(names), m=m, perspective=perspective)
 
 
@@ -125,25 +155,23 @@ def write_matrix_tsv(matrix: DiscordantMatrix) -> bytes:
 
 
 def parse_matrix_tsv(data: bytes, perspective: Perspective) -> DiscordantMatrix:
-    """Inverse of write_matrix_tsv."""
-    lines = [ln for ln in data.decode("utf-8").splitlines() if ln.strip()]
+    """Inverse of write_matrix_tsv; blank lines are skipped."""
+    lines = [(no, ln) for no, ln in text_lines(data) if ln.strip()]
     if not lines:
         raise MalformedLine(1, "empty matrix file")
-    names = lines[0].split("\t")
+    names = lines[0][1].split("\t")
     n = len(names)
     if len(lines) != n + 1:
-        raise MalformedLine(len(lines), f"expected {n} data rows, got {len(lines) - 1}")
+        raise MalformedLine(lines[-1][0], f"expected {n} data rows, got {len(lines) - 1}")
     m = np.zeros((n, n), dtype=np.int64)
-    row_names = []
-    for row_no, line in enumerate(lines[1:], start=2):
+    for row, (line_no, line) in enumerate(lines[1:]):
         fields = line.split("\t")
         if len(fields) != n + 1:
-            raise MalformedLine(row_no, f"expected {n + 1} fields, got {len(fields)}")
-        row_names.append(fields[0])
+            raise MalformedLine(line_no, f"expected {n + 1} fields, got {len(fields)}")
+        if fields[0] != names[row]:
+            raise MalformedLine(line_no, "row names do not match header order")
         try:
-            m[row_no - 2] = [int(v) for v in fields[1:]]
+            m[row] = [int(v) for v in fields[1:]]
         except ValueError:
-            raise MalformedLine(row_no, "non-integer cell")
-    if row_names != names:
-        raise MalformedLine(2, "row names do not match header order")
+            raise MalformedLine(line_no, "non-integer cell")
     return DiscordantMatrix(systems=tuple(names), m=m, perspective=perspective)

@@ -48,9 +48,9 @@ class BadMeasure(AlignsigError):
 
 
 class Undecodable(AlignsigError):
-    def __init__(self, offset: int, reason: str):
+    def __init__(self, offset: int, reason: str, encoding: str = "UTF-8"):
         self.offset = offset
-        super().__init__(f"byte {offset}: not valid UTF-8 ({reason})")
+        super().__init__(f"byte {offset}: not valid {encoding} ({reason})")
 
 
 class MissingEntity(AlignsigError):

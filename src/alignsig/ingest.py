@@ -7,6 +7,7 @@ tools emit (``Cell`` elements with ``entity1``/``entity2`` resources).
 
 from __future__ import annotations
 
+import codecs
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -33,17 +34,27 @@ class LabelTable:
         return len(self.rows)
 
 
-def _data_lines(data: bytes):
-    """Yield (line_no, text) for non-blank, non-comment lines."""
+def text_lines(data: bytes):
+    """Yield (line_no, text) for every line of a UTF-8 text file.
+
+    A leading byte order mark is dropped.  Lines end at ``\\n`` only, with an
+    optional ``\\r`` before it, so form feeds, U+2028 and the like stay inside
+    a line's text.
+    """
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise Undecodable(exc.start, exc.reason) from None
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        yield line_no, line.removesuffix("\r")
+
+
+def _data_lines(data: bytes):
+    """Yield (line_no, text) for non-blank, non-comment lines."""
+    for line_no, line in text_lines(data):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield line_no, line.rstrip("\n")
+        if stripped and not stripped.startswith("#"):
+            yield line_no, line
 
 
 def parse_alignment_tsv(data: bytes, system_name: str) -> Alignment:
@@ -94,14 +105,35 @@ def _measure(cell_index: int, text: str | None) -> float:
     return value
 
 
+#: Byte order marks of UTF-32 and UTF-16, UTF-32's first since its LE mark
+#: begins with UTF-16's; only XML files may use them.
+WIDE_BOMS = (codecs.BOM_UTF32_LE, codecs.BOM_UTF32_BE, codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE)
+
+
+def _xml_document(data: bytes) -> bytes | str:
+    """Decode a UTF-16 or UTF-32 document here, whatever its declaration names.
+
+    expat would reject UTF-32 and a declared byte order such as ``UTF-16-BE``.
+    """
+    if not data.startswith(WIDE_BOMS):
+        return data
+    encoding = "utf-32" if data.startswith(WIDE_BOMS[:2]) else "utf-16"
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        raise Undecodable(exc.start, exc.reason, encoding.upper()) from None
+
+
 def parse_alignment_xml(data: bytes, system_name: str) -> Alignment:
     """Parse the Alignment-format subset: Cell/entity1/entity2/measure/relation."""
+    document = _xml_document(data)
     try:
-        root = ET.fromstring(data)
+        root = ET.fromstring(document)
     except ET.ParseError as exc:
         raise XmlSyntax(exc.position, str(exc)) from exc
-    except LookupError as exc:
-        # an unknown encoding named by the XML declaration, which opens line 1
+    except (LookupError, ValueError) as exc:
+        # an unknown or multi-byte encoding named by the XML declaration, which
+        # opens line 1
         raise XmlSyntax((1, 0), str(exc)) from exc
     out = []
     cell_index = 0

@@ -96,6 +96,34 @@ class TestCompare:
         assert message in result.output
         assert "Traceback" not in result.output
 
+    def test_matrix_with_byte_order_mark_and_crlf(self, runner, tmp_path):
+        plain = tmp_path / "plain.tsv"
+        plain.write_bytes(fixture_path("anatomy-ifp").read_bytes())
+        marked = tmp_path / "marked.tsv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes().replace(b"\n", b"\r\n"))
+        outputs = []
+        for path in (plain, marked):
+            result = runner.invoke(main, ["compare", "--matrix", str(path),
+                                          "--correction", "holm"])
+            assert result.exit_code == 0, result.output
+            outputs.append(result.output)
+        assert outputs[0] == outputs[1]
+
+    def test_matrix_with_undecodable_byte_exits_2(self, runner, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_bytes(b"A\tB\nA\t0\t1\nB\t\xff\t0\n")
+        result = runner.invoke(main, ["compare", "--matrix", str(path),
+                                      "--correction", "none"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "byte 12: not valid UTF-8" in result.output
+
+    def test_matrix_errors_name_the_file_line(self, runner, tmp_path):
+        path = write(tmp_path, "m.tsv", "A\tB\n\nA\t0\t1\n\nB\tx\t0\n")
+        result = runner.invoke(main, ["compare", "--matrix", path, "--correction", "none"])
+        assert result.exit_code == 2
+        assert "line 5: non-integer cell" in result.output
+
     def test_one_outcome_pass_per_compare(self, runner, tmp_path, monkeypatch):
         calls = []
         original = siggraph.pairwise_outcomes
@@ -167,6 +195,23 @@ class TestTable:
                       b'<Cell><entity1 resource="r3"/><entity2 resource="t3"/></Cell></r>')
         result = runner.invoke(main, [
             "table", "--reference", str(ref),
+            "--alignment", f"S1={a}", "--alignment", f"S2={b}",
+        ])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[1:] == ["S1\t0\t1", "S2\t1\t0"]
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-32"])
+    def test_utf16_and_utf32_xml_inputs(self, runner, tmp_path, encoding):
+        ref = write(tmp_path, "ref.tsv", REF)
+        a = write(tmp_path, "a.tsv", SYS_A)
+        b = tmp_path / "b.xml"
+        b.write_bytes(f'<?xml version="1.0" encoding="{encoding.upper()}"?><r>'
+                      '<Cell><entity1 resource="r2"/><entity2 resource="t2"/></Cell>'
+                      '<Cell><entity1 resource="r3"/><entity2 resource="t3"/></Cell></r>'
+                      .encode(encoding))
+        assert b.read_bytes()[:2] == b"\xff\xfe"
+        result = runner.invoke(main, [
+            "table", "--reference", ref,
             "--alignment", f"S1={a}", "--alignment", f"S2={b}",
         ])
         assert result.exit_code == 0, result.output

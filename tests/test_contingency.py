@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alignsig.contingency import (
     DiscordantMatrix,
@@ -15,6 +16,7 @@ from alignsig.contingency import (
 )
 from alignsig.errors import DuplicateSystemName, NegativeCount, UniverseTooSmall
 from alignsig.model import (
+    Alignment,
     Correspondence,
     Perspective,
     TaskUniverse,
@@ -59,6 +61,36 @@ def oracle_cfp_discordant(r, a1, a2):
         elif not correct and in2 and not in1:
             n10 += 1
     return n01, n10
+
+
+def oracle_cfp(r, a1, a2, total_pairs):
+    """All four CFP cells by classifying each member of R | A1 | A2."""
+    R, A1, A2 = r.key_set(), a1.key_set(), a2.key_set()
+    n00 = n11 = 0
+    for k in R | A1 | A2:
+        in1, in2 = k in A1, k in A2
+        if k in R:
+            n00 += not (in1 or in2)
+            n11 += in1 and in2
+        else:
+            n00 += in1 and in2
+    n01, n10 = oracle_cfp_discordant(r, a1, a2)
+    return n00, n01, n10, n11 + total_pairs - len(R | A1 | A2)
+
+
+def set_in_favor(r, ai, aj, perspective):
+    """Correspondences counted for ai against aj, by set algebra on the keys."""
+    R, Ai, Aj = r.key_set(), ai.key_set(), aj.key_set()
+    count = len((Ai & R) - Aj)
+    if perspective is Perspective.CFP:
+        count += len(Aj - Ai - R)
+    return count
+
+
+def set_matrix(r, systems, perspective):
+    n = len(systems)
+    return np.array([[0 if i == j else set_in_favor(r, systems[i], systems[j], perspective)
+                      for j in range(n)] for i in range(n)], dtype=np.int64)
 
 
 def random_alignment(rng, name, universe, size):
@@ -210,3 +242,98 @@ class TestDiscordantMatrix:
         again = parse_matrix_tsv(write_matrix_tsv(m), Perspective.IFP)
         assert again.systems == m.systems
         assert (again.m == m.m).all()
+
+
+# Widths around a byte, so that np.packbits pads the last byte of a block.
+BLOCK_WIDTHS = [0, 1, 7, 8, 9]
+SHAPES = ["random", "empty", "outside R", "covers R", "every false key"]
+
+
+def _subset(keys, mask):
+    return [key for bit, key in enumerate(keys) if mask >> bit & 1]
+
+
+@st.composite
+def counting_tasks(draw):
+    """A reference and 2-6 systems over R plus a pool of false keys."""
+    nr = draw(st.sampled_from(BLOCK_WIDTHS) | st.integers(0, 40))
+    nf = draw(st.sampled_from(BLOCK_WIDTHS) | st.integers(0, 40))
+    ref_keys = [(f"r{i}", f"t{i}") for i in range(nr)]
+    false_keys = [(f"f{i}", f"u{i}") for i in range(nf)]
+    systems = []
+    for k in range(draw(st.integers(2, 6))):
+        shape = draw(st.sampled_from(SHAPES))
+        correct, false = (_subset(keys, draw(st.integers(0, 2 ** len(keys) - 1)))
+                          for keys in (ref_keys, false_keys))
+        if shape == "empty":
+            correct, false = [], []
+        elif shape == "outside R":
+            correct = []
+        elif shape == "covers R":
+            correct = ref_keys
+        elif shape == "every false key":
+            false = false_keys
+        systems.append(align(f"S{k}", correct + false))
+    return align("R", ref_keys), systems
+
+
+class TestOverlapKernel:
+    @settings(max_examples=300)
+    @given(counting_tasks(), st.sampled_from(list(Perspective)))
+    def test_matrix_equals_set_algebra(self, task, perspective):
+        r, systems = task
+        m = build_discordant_matrix(r, systems, perspective)
+        assert m.m.dtype == np.int64
+        assert m.m.tolist() == set_matrix(r, systems, perspective).tolist()
+
+    @settings(max_examples=300)
+    @given(counting_tasks(), st.integers(0, 100))
+    def test_tables_equal_classification_oracles(self, task, slack):
+        r, (a1, a2, *_) = task
+        ifp = build_table_ifp(r, a1, a2)
+        assert (ifp.n00, ifp.n01, ifp.n10, ifp.n11) == oracle_ifp(r, a1, a2)
+        union = len(r.key_set() | a1.key_set() | a2.key_set())
+        total = max(union + slack, 1)
+        cfp = build_table_cfp(r, a1, a2, TaskUniverse(total_pairs=total))
+        assert (cfp.n00, cfp.n01, cfp.n10, cfp.n11) == oracle_cfp(r, a1, a2, total)
+        assert build_table_cfp(r, a1, a2).n11 is None
+        if union > 1:
+            with pytest.raises(UniverseTooSmall) as info:
+                build_table_cfp(r, a1, a2, TaskUniverse(total_pairs=union - 1))
+            assert (info.value.total_pairs, info.value.needed) == (union - 1, union)
+
+    @pytest.mark.parametrize("nf", BLOCK_WIDTHS)
+    @pytest.mark.parametrize("nr", BLOCK_WIDTHS)
+    def test_exact_block_widths(self, nr, nf):
+        rng = random.Random(nr * 10 + nf)
+        ref_keys = [(f"r{i}", f"t{i}") for i in range(nr)]
+        false_keys = [(f"f{i}", f"u{i}") for i in range(nf)]
+        r = align("R", ref_keys)
+        # S0 holds every false key and S1 all of R, so the blocks are exactly nr and nf wide
+        systems = [align("S0", false_keys), align("S1", ref_keys)]
+        systems += [align(f"S{k}", rng.sample(ref_keys + false_keys,
+                                                rng.randint(0, nr + nf)))
+                    for k in range(2, 5)]
+        for perspective in Perspective:
+            m = build_discordant_matrix(r, systems, perspective)
+            assert m.m.tolist() == set_matrix(r, systems, perspective).tolist()
+
+    def test_keys_differing_only_in_relation_stay_apart(self):
+        r = align("R", [("a", "1")])
+        other = Alignment("S1", (Correspondence("a", "1", "<"),))
+        same = align("S2", [("a", "1")])
+        for perspective in Perspective:
+            m = build_discordant_matrix(r, [other, same], perspective)
+            assert m.m.tolist() == set_matrix(r, [other, same], perspective).tolist()
+
+    def test_overlaps_beyond_one_byte_of_counts(self):
+        rng = random.Random(41)
+        ref_keys = [(f"r{i}", f"t{i}") for i in range(700)]
+        false_keys = [(f"f{i}", f"u{i}") for i in range(500)]
+        r = align("R", ref_keys)
+        systems = [align(f"S{k}", rng.sample(ref_keys, rng.randint(300, 700))
+                         + rng.sample(false_keys, rng.randint(260, 500)))
+                   for k in range(4)]
+        for perspective in Perspective:
+            m = build_discordant_matrix(r, systems, perspective)
+            assert m.m.tolist() == set_matrix(r, systems, perspective).tolist()

@@ -15,6 +15,7 @@ from alignsig.ingest import (
     parse_alignment_tsv,
     parse_alignment_xml,
     parse_label_list,
+    text_lines,
     write_alignment_tsv,
 )
 from alignsig.model import Correspondence, canonicalize_alignment
@@ -143,6 +144,54 @@ class TestLabelList:
             parse_label_list(b"m1\t\xffeye\n")
         assert exc.value.offset == 3
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\x0c", "\x0b",
+                                           "\x1c", "\x1d", "\x1e"])
+    def test_only_newline_ends_a_line(self, separator):
+        t = parse_label_list(f"m1\tleft{separator}eye\nm2\tlens\n".encode())
+        assert t.rows == (("m1", f"left{separator}eye"), ("m2", "lens"))
+
+
+class TestLineSplitting:
+    def test_crlf_line_numbers(self):
+        with pytest.raises(MalformedLine) as exc:
+            parse_label_list(b"# labels\r\nm1\teye\r\n\r\nm2\r\n")
+        assert exc.value.line_no == 4
+
+    def test_crlf_is_not_part_of_the_text(self):
+        a = parse_alignment_tsv(b"a\tb\t=\t0.5\r\nc\td\r\n", "s")
+        assert [(c.key, c.confidence) for c in a] == [(("a", "b", "="), 0.5),
+                                                       (("c", "d", "="), 1.0)]
+
+    def test_lines_after_the_bom(self):
+        assert list(text_lines(BOM + b"x\r\n\ny")) == [(1, "x"), (2, ""), (3, "y")]
+
+
+WIDE_XML = ('<?xml version="1.0" encoding="{}"?><r><Cell>'
+            '<entity1 resource="http://x#Ä"/><entity2 resource="http://y#B"/>'
+            '<measure>0.5</measure></Cell></r>')
+
+
+class TestWideEncodings:
+    @pytest.mark.parametrize("encoding, bom", [
+        ("utf-16-le", b"\xff\xfe"), ("utf-16-be", b"\xfe\xff"),
+        ("utf-32-le", b"\xff\xfe\x00\x00"), ("utf-32-be", b"\x00\x00\xfe\xff"),
+    ])
+    @pytest.mark.parametrize("declared", ["UTF-16", "UTF-32", "UTF-16-BE"])
+    def test_bom_decides_whatever_the_declaration_names(self, encoding, bom, declared):
+        a = parse_alignment_xml(bom + WIDE_XML.format(declared).encode(encoding), "s")
+        assert [(c.key, c.confidence) for c in a] == [
+            (("http://x#Ä", "http://y#B", "="), 0.5)]
+
+    def test_undecodable_utf32(self):
+        with pytest.raises(Undecodable) as exc:
+            parse_alignment_xml(b"\xff\xfe\x00\x00<\x00\x00\x00\xff\xff\xff\xff", "s")
+        assert exc.value.offset == 8
+        assert "UTF-32" in str(exc.value)
+
+    def test_multi_byte_declaration_on_utf8_bytes(self):
+        with pytest.raises(XmlSyntax):
+            parse_alignment_xml(b'<?xml version="1.0" encoding="UTF-16-BE"?><r/>', "s")
+
 
 class TestWriting:
     def test_minimal_confidence_digits(self):
@@ -173,6 +222,8 @@ _FRAGMENTS = [
     BOM, b"\xff", b"\x00", b"\t", b"\n", b"\r", b" ", b"#", b"=", b"<", b">",
     b"0.5", b"1.5", b"nan", b"-", b"a", b"\xc3\xa9",
     b'<?xml version="1.0"?>', b'<?xml version="1.0" encoding="latin-1"?>',
+    b'<?xml version="1.0" encoding="UTF-16-BE"?>', b"\xff\xfe", b"\xfe\xff",
+    b"\xff\xfe\x00\x00", b"\x00\x00\xfe\xff", b"\x0c", b"\xe2\x80\xa8",
     b"<r>", b"</r>", b"<Cell>", b"</Cell>", b'<entity1 resource="a"/>',
     b'<entity2 resource="b"/>', b'<entity1 resource=" "/>', b"<measure>",
     b"</measure>", b"<measure/>", b"<relation>", b"</relation>",
