@@ -13,21 +13,21 @@ import click
 
 from . import contingency, ingest, matcher, siggraph
 from .errors import AlignsigError
-from .model import (
-    DEFAULT_BERGMANN_CAP,
-    Alignment,
-    ComparisonConfig,
-    Correction,
-    Mode,
-    Perspective,
-    TestKind,
-)
+from .model import Alignment, ComparisonConfig, Correction, Mode, Perspective, TestKind
 
 PERSPECTIVES = {p.value: p for p in Perspective}
 TESTS = {t.value: t for t in TestKind}
 CORRECTIONS = {c.value: c for c in Correction}
 MODES = {m.value: m for m in Mode}
 METRICS = {m.value: m for m in matcher.MetricKind}
+
+#: What a bad input file or option value raises; each ends as exit code 2.
+#: OSError covers a missing path, a directory and an unreadable file.
+INPUT_ERRORS = (AlignsigError, OSError, ValueError)
+
+perspective_option = click.option(
+    "--perspective", type=click.Choice(sorted(PERSPECTIVES)), default="ifp"
+)
 
 
 def _load_alignment(path: Path, system_name: str) -> Alignment:
@@ -50,7 +50,7 @@ def _parse_alignment_args(specs) -> list:
     return alignments
 
 
-def _fail_validation(exc: Exception):
+def _fail_validation(exc: Exception | str):
     click.echo(f"error: {exc}", err=True)
     sys.exit(2)
 
@@ -66,14 +66,15 @@ def main():
               help="name=path; repeat for each system (>=2).")
 @click.option("--matrix", type=click.Path(exists=True, path_type=Path),
               help="Pre-built discordant matrix TSV (alternative to alignments).")
-@click.option("--perspective", type=click.Choice(sorted(PERSPECTIVES)), default="ifp")
-@click.option("--test", "test_name", type=click.Choice(sorted(TESTS)), default="midp")
+@perspective_option
+@click.option("--test", "test_name", type=click.Choice(sorted(TESTS)),
+              default=ComparisonConfig.test.value)
 @click.option("--correction", type=click.Choice(sorted(CORRECTIONS)), default=None)
-@click.option("--mode", type=click.Choice(sorted(MODES)), default="nxn")
+@click.option("--mode", type=click.Choice(sorted(MODES)), default=ComparisonConfig.mode.value)
 @click.option("--baseline", default=None, help="Baseline system name (nx1 mode).")
-@click.option("--alpha", type=float, default=0.05, show_default=True)
-@click.option("--bergmann-cap", type=int, default=DEFAULT_BERGMANN_CAP, show_default=True,
-              help="Max systems for Bergmann's exhaustive-set enumeration.")
+@click.option("--alpha", type=float, default=ComparisonConfig.alpha, show_default=True)
+@click.option("--bergmann-cap", type=int, default=ComparisonConfig.bergmann_cap,
+              show_default=True, help="Max systems for Bergmann's exhaustive-set enumeration.")
 @click.option("--dot", "dot_out", type=click.Path(path_type=Path),
               help="Write the significance digraph as DOT.")
 @click.option("--report", "report_out", type=click.Path(path_type=Path),
@@ -81,31 +82,24 @@ def main():
 def compare(reference, alignments, matrix, perspective, test_name, correction,
             mode, baseline, alpha, bergmann_cap, dot_out, report_out):
     """Pairwise McNemar comparison with FWER correction; emits DOT + report."""
-    persp = PERSPECTIVES[perspective]
-    if correction is None:
-        correction = "bergmann" if mode == "nxn" else "holm"
     try:
         cfg = ComparisonConfig(
-            perspective=persp,
             test=TESTS[test_name],
-            correction=CORRECTIONS[correction],
+            correction=CORRECTIONS.get(correction),
             mode=MODES[mode],
             baseline=baseline,
             alpha=alpha,
             bergmann_cap=bergmann_cap,
         )
-    except (AlignsigError, ValueError) as exc:
-        _fail_validation(exc)
-    try:
-        m = _resolve_matrix(reference, alignments, matrix, persp)
-        graph, report = siggraph.run_comparison(m, cfg)
-    except (AlignsigError, ValueError) as exc:
+        m = _resolve_matrix(reference, alignments, matrix, PERSPECTIVES[perspective])
+        graph = siggraph.build_graph(m, cfg)
+    except INPUT_ERRORS as exc:
         _fail_validation(exc)
     if dot_out:
         dot_out.write_bytes(siggraph.emit_dot(graph))
     if report_out:
-        report_out.write_bytes(siggraph.serialize_report(report))
-    for group in report["ranking"]:
+        report_out.write_bytes(siggraph.serialize_report(siggraph.build_report(graph)))
+    for group in siggraph.rank_systems(graph).groups:
         click.echo(" & ".join(group))
 
 
@@ -125,7 +119,7 @@ def _resolve_matrix(reference, alignments, matrix, persp):
 @click.option("--reference", type=click.Path(exists=True, path_type=Path), required=True)
 @click.option("--alignment", "alignments", multiple=True, required=True,
               help="name=path; repeat for each system (>=2).")
-@click.option("--perspective", type=click.Choice(sorted(PERSPECTIVES)), default="ifp")
+@perspective_option
 @click.option("--output", type=click.Path(path_type=Path), default=None,
               help="Output TSV path (default: stdout).")
 def table(reference, alignments, perspective, output):
@@ -136,7 +130,7 @@ def table(reference, alignments, perspective, output):
         m = contingency.build_discordant_matrix(
             ref, systems, PERSPECTIVES[perspective]
         )
-    except (AlignsigError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         _fail_validation(exc)
     data = contingency.write_matrix_tsv(m)
     if output:
@@ -168,7 +162,7 @@ def match(source, target, metric, threshold, system_name, output):
         src = ingest.parse_label_list(source.read_bytes())
         tgt = ingest.parse_label_list(target.read_bytes())
         alignment = matcher.match(src, tgt, kind, threshold, system_name or kind.value)
-    except (AlignsigError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         _fail_validation(exc)
     data = ingest.write_alignment_tsv(alignment)
     if output:
@@ -183,10 +177,15 @@ def match(source, target, metric, threshold, system_name, output):
 def rank(report_path):
     """Print rank groups from a comparison report, one '&'-joined row per group."""
     try:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors
         report = json.loads(report_path.read_text("utf-8"))
-        groups = report["ranking"]
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         _fail_validation(exc)
+    groups = report.get("ranking") if isinstance(report, dict) else None
+    if not (isinstance(groups, list) and all(
+            isinstance(group, list) and all(isinstance(name, str) for name in group)
+            for group in groups)):
+        _fail_validation("report holds no 'ranking' list of system-name lists")
     for group in groups:
         click.echo(" & ".join(group))
 

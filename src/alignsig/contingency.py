@@ -174,4 +174,6 @@ def parse_matrix_tsv(data: bytes, perspective: Perspective) -> DiscordantMatrix:
             m[row] = [int(v) for v in fields[1:]]
         except ValueError:
             raise MalformedLine(line_no, "non-integer cell")
+        except OverflowError:
+            raise MalformedLine(line_no, "cell outside the 64-bit integer range")
     return DiscordantMatrix(systems=tuple(names), m=m, perspective=perspective)

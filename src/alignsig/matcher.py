@@ -15,7 +15,6 @@ from enum import Enum
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import EmptyTable
 from .ingest import LabelTable
@@ -376,6 +375,10 @@ def hungarian_assign(sim: SimilarityMatrix) -> List[Tuple[int, int]]:
     Rectangular matrices are handled directly; min(rows, cols) pairs are
     returned, sorted by row index.
     """
+    # imported here: scipy takes most of the CLI's start-up time, and only
+    # `match` reaches this function
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(sim.s, maximize=True)
     return sorted(zip(rows.tolist(), cols.tolist()))
 

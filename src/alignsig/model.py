@@ -153,17 +153,23 @@ class ContingencyTable:
 
 @dataclass(frozen=True)
 class ComparisonConfig:
-    """Everything needed to turn a discordant matrix into a verdict graph."""
+    """Everything needed to turn a discordant matrix into a verdict graph.
 
-    perspective: Perspective = Perspective.IFP
+    The perspective is not here: it belongs to the matrix the counts came from.
+    """
+
     test: TestKind = TestKind.MIDP
-    correction: Correction = Correction.BERGMANN
+    #: None picks the mode's default: Bergmann for NXN, Holm for NX1.
+    correction: Optional[Correction] = None
     mode: Mode = Mode.NXN
     baseline: Optional[str] = None
     alpha: float = 0.05
     bergmann_cap: int = DEFAULT_BERGMANN_CAP
 
     def __post_init__(self):
+        if self.correction is None:
+            default = Correction.BERGMANN if self.mode is Mode.NXN else Correction.HOLM
+            object.__setattr__(self, "correction", default)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha {self.alpha} outside (0, 1)")
         if self.mode is Mode.NX1 and self.correction in NXN_ONLY_CORRECTIONS:

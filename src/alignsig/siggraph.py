@@ -5,12 +5,12 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .contingency import DiscordantMatrix
-from .fwer import AdjustedResults, HypothesisSet, adjust
-from .mcnemar import run_test
-from .model import ComparisonConfig, Mode
+from .fwer import HypothesisSet, adjust
+from .mcnemar import SMALL_SAMPLE_THRESHOLD, run_test
+from .model import ComparisonConfig, Mode, Perspective
 
 NO_EVIDENCE_NOTE = "no discordant correspondences; systems indistinguishable"
 
@@ -43,8 +43,18 @@ class Edge:
 
 @dataclass(frozen=True)
 class SignificanceGraph:
+    """The result of one comparison: every pair's outcome, drawn as a digraph.
+
+    ``outcomes`` holds every compared pair in pair order, ``edges`` one
+    winner -> loser edge per significant pair; ``perspective`` is the one the
+    counts were taken under.  DOT, ranking and report are views of it.
+    """
+
     nodes: Tuple[str, ...]
     edges: Tuple[Edge, ...]
+    outcomes: Tuple[PairOutcome, ...]
+    perspective: Perspective
+    config: ComparisonConfig
 
     def has_edge_between(self, a: str, b: str) -> bool:
         return any(
@@ -74,9 +84,10 @@ def _pairs_for_mode(systems: Tuple[str, ...], cfg: ComparisonConfig):
 def pairwise_outcomes(m: DiscordantMatrix, cfg: ComparisonConfig) -> List[PairOutcome]:
     """Run the configured test on every relevant pair and adjust p-values jointly.
 
-    Pairs with both discordant counts zero carry no evidence; they enter the
-    hypothesis family with p = 1 so the family size stays at its nominal k,
-    but can never produce an edge.
+    Outcomes come in pair order, with the systems of each pair in lexicographic
+    order.  Pairs with both discordant counts zero carry no evidence; they
+    enter the hypothesis family with p = 1 so the family size stays at its
+    nominal k, but can never produce an edge.
     """
     systems = m.systems
     pairs = _pairs_for_mode(systems, cfg)
@@ -110,9 +121,9 @@ def pairwise_outcomes(m: DiscordantMatrix, cfg: ComparisonConfig) -> List[PairOu
     return outcomes
 
 
-def _graph_from_outcomes(
-    nodes: Sequence[str], outcomes: List[PairOutcome]
-) -> SignificanceGraph:
+def build_graph(m: DiscordantMatrix, cfg: ComparisonConfig) -> SignificanceGraph:
+    """The one comparison pass: outcomes of every pair, an edge per rejected pair."""
+    outcomes = tuple(pairwise_outcomes(m, cfg))
     edges = []
     for o in outcomes:
         if not o.significant:
@@ -124,12 +135,10 @@ def _graph_from_outcomes(
                  n_winner=n_w, n_loser=n_l)
         )
     edges.sort(key=lambda e: (e.winner, e.loser))
-    return SignificanceGraph(nodes=tuple(sorted(nodes)), edges=tuple(edges))
-
-
-def build_graph(m: DiscordantMatrix, cfg: ComparisonConfig) -> SignificanceGraph:
-    """Directed graph with an edge winner -> loser for each rejected pair."""
-    return _graph_from_outcomes(m.systems, pairwise_outcomes(m, cfg))
+    return SignificanceGraph(
+        nodes=tuple(sorted(m.systems)), edges=tuple(edges), outcomes=outcomes,
+        perspective=m.perspective, config=cfg,
+    )
 
 
 def emit_dot(g: SignificanceGraph) -> bytes:
@@ -167,21 +176,17 @@ def rank_systems(g: SignificanceGraph) -> RankTable:
     )
 
 
-def run_comparison(
-    m: DiscordantMatrix, cfg: ComparisonConfig
-) -> Tuple[SignificanceGraph, dict]:
-    """One comparison pass: the significance graph and the report built from it."""
-    outcomes = pairwise_outcomes(m, cfg)
-    graph = _graph_from_outcomes(m.systems, outcomes)
-    ranks = rank_systems(graph)
+def build_report(g: SignificanceGraph) -> dict:
+    """Full comparison report: config echo, per-pair records, graph, ranking."""
+    cfg = g.config
     warnings = sorted(
         f"small discordant sample for ({o.system_a}, {o.system_b}): "
-        f"{o.n_a + o.n_b} < 25"
-        for o in outcomes
+        f"{o.n_a + o.n_b} < {SMALL_SAMPLE_THRESHOLD}"
+        for o in g.outcomes
         if o.small_sample
     )
     pair_records = []
-    for o in sorted(outcomes, key=lambda o: (o.system_a, o.system_b)):
+    for o in g.outcomes:
         record = {
             "systems": [o.system_a, o.system_b],
             "n_i": o.n_a,
@@ -195,9 +200,9 @@ def run_comparison(
         if o.note:
             record["note"] = o.note
         pair_records.append(record)
-    report = {
+    return {
         "config": {
-            "perspective": cfg.perspective.value,
+            "perspective": g.perspective.value,
             "test": cfg.test.value,
             "correction": cfg.correction.value,
             "mode": cfg.mode.value,
@@ -206,7 +211,7 @@ def run_comparison(
         },
         "pairs": pair_records,
         "graph": {
-            "nodes": list(graph.nodes),
+            "nodes": list(g.nodes),
             "edges": [
                 {
                     "winner": e.winner,
@@ -216,19 +221,13 @@ def run_comparison(
                     "n_winner": e.n_winner,
                     "n_loser": e.n_loser,
                 }
-                for e in graph.edges
+                for e in g.edges
             ],
         },
-        "ranking": [list(grp) for grp in ranks.groups],
+        "ranking": [list(grp) for grp in rank_systems(g).groups],
         "ranking_note": "win count + mutual non-significance heuristic",
         "warnings": warnings,
     }
-    return graph, report
-
-
-def build_report(m: DiscordantMatrix, cfg: ComparisonConfig) -> dict:
-    """Full comparison report: config echo, per-pair records, graph, ranking."""
-    return run_comparison(m, cfg)[1]
 
 
 def serialize_report(report: dict) -> bytes:

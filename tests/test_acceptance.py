@@ -78,7 +78,7 @@ def test_criterion_1_ifp_fixture_ranking():
 
 def test_criterion_2_cfp_fixture_ranking():
     m = load("anatomy-cfp", Perspective.CFP)
-    cfg = bergmann_cfg(perspective=Perspective.CFP)
+    cfg = bergmann_cfg()
     graph = build_graph(m, cfg)
     ranks = rank_systems(graph)
     assert ranks.groups == (
@@ -103,9 +103,9 @@ def test_criterion_3_correction_contrast():
     assert bergmann_ifp ^ nemenyi_ifp == {("CroMatcher", "LYAM")}
 
     m_cfp = load("anatomy-cfp", Perspective.CFP)
-    bergmann_cfp = edges(m_cfp, bergmann_cfg(perspective=Perspective.CFP))
+    bergmann_cfp = edges(m_cfp, bergmann_cfg())
     nemenyi_cfp = edges(
-        m_cfp, bergmann_cfg(perspective=Perspective.CFP, correction=Correction.NEMENYI)
+        m_cfp, bergmann_cfg(correction=Correction.NEMENYI)
     )
     extra = bergmann_cfp - nemenyi_cfp
     assert ("FCA-Map", "LYAM") in extra
@@ -270,8 +270,8 @@ def test_criterion_8_determinism_and_golden_files():
     cfg = bergmann_cfg()
     dot1 = emit_dot(build_graph(m, cfg))
     dot2 = emit_dot(build_graph(m, cfg))
-    rep1 = serialize_report(build_report(m, cfg))
-    rep2 = serialize_report(build_report(m, cfg))
+    rep1 = serialize_report(build_report(build_graph(m, cfg)))
+    rep2 = serialize_report(build_report(build_graph(m, cfg)))
     assert dot1 == dot2
     assert rep1 == rep2
     assert dot1 == (GOLDEN / "anatomy_ifp_bergmann.dot").read_bytes()

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import alignsig
 from alignsig import siggraph
 from alignsig.cli import main
 from alignsig.data import fixture_path
@@ -46,6 +51,14 @@ class TestCompare:
         ])
         assert result.exit_code == 2
 
+    def test_nx1_defaults_to_holm(self, runner):
+        args = ["compare", "--matrix", str(fixture_path("anatomy-ifp")),
+                "--mode", "nx1", "--baseline", "AML"]
+        default = runner.invoke(main, args)
+        holm = runner.invoke(main, [*args, "--correction", "holm"])
+        assert default.exit_code == holm.exit_code == 0, default.output
+        assert default.output == holm.output
+
     def test_missing_baseline_exits_2(self, runner):
         result = runner.invoke(main, [
             "compare", "--matrix", str(fixture_path("anatomy-ifp")), "--mode", "nx1",
@@ -87,7 +100,9 @@ class TestCompare:
     @pytest.mark.parametrize("text, message", [
         ("A\tA\tB\nA\t0\t1\t2\nA\t3\t0\t4\nB\t5\t6\t0\n", "duplicate system name 'A'"),
         ("A\tB\nA\t0\t-1\nB\t2\t0\n", "is negative (-1)"),
-    ], ids=["duplicate-name", "negative-cell"])
+        ("A\tB\nA\t0\t1\nB\t100000000000000000000000000\t0\n",
+         "line 3: cell outside the 64-bit integer range"),
+    ], ids=["duplicate-name", "negative-cell", "int64-overflow"])
     def test_malformed_matrix_exits_2(self, runner, tmp_path, text, message):
         path = write(tmp_path, "m.tsv", text)
         result = runner.invoke(main, ["compare", "--matrix", path, "--correction", "bergmann"])
@@ -139,6 +154,29 @@ class TestCompare:
         ])
         assert result.exit_code == 0, result.output
         assert len(calls) == 1
+
+
+class TestBadPaths:
+    @pytest.mark.parametrize("command", [
+        ["compare", "--reference", "{ref}", "--alignment", "S1={a}",
+         "--alignment", "S2={missing}"],
+        ["compare", "--reference", "{ref}", "--alignment", "S1={a}", "--alignment", "S2={dir}"],
+        ["compare", "--reference", "{dir}", "--alignment", "S1={a}", "--alignment", "S2={a}"],
+        ["compare", "--matrix", "{dir}"],
+        ["table", "--reference", "{ref}", "--alignment", "S1={a}", "--alignment", "S2={dir}"],
+        ["match", "--source", "{dir}", "--target", "{labels}", "--metric", "equal"],
+        ["match", "--source", "{labels}", "--target", "{dir}", "--metric", "equal"],
+    ], ids=["missing-alignment", "directory-alignment", "directory-reference",
+            "directory-matrix", "table-directory-alignment", "directory-source",
+            "directory-target"])
+    def test_bad_input_path_exits_2(self, runner, tmp_path, command):
+        paths = {"ref": write(tmp_path, "ref.tsv", REF), "a": write(tmp_path, "a.tsv", SYS_A),
+                 "labels": write(tmp_path, "labels.tsv", LABELS),
+                 "missing": str(tmp_path / "missing.tsv"), "dir": str(tmp_path)}
+        result = runner.invoke(main, [arg.format(**paths) for arg in command])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: ")
 
 
 class TestTable:
@@ -304,9 +342,12 @@ class TestRank:
 
     def test_malformed_report_exits_2(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        result = runner.invoke(main, ["rank", "--report", str(bad)])
-        assert result.exit_code == 2
+        for content in (b"{}", b"[]", b'{"ranking": [[1, 2]]}', b'{"ranking": "AB"}',
+                        b"\xff"):
+            bad.write_bytes(content)
+            result = runner.invoke(main, ["rank", "--report", str(bad)])
+            assert result.exit_code == 2, content
+            assert isinstance(result.exception, SystemExit), content
 
 
 def test_outputs_byte_identical_across_runs(runner, tmp_path):
@@ -320,3 +361,17 @@ def test_outputs_byte_identical_across_runs(runner, tmp_path):
         ])
         outs.append((dot.read_bytes(), rep.read_bytes()))
     assert outs[0] == outs[1]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy serves only `match`; loading it would slow every other command
+    src = str(Path(alignsig.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, alignsig.cli; print(sorted(m for m in sys.modules"
+         " if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert loaded == "[]\n"

@@ -2,7 +2,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from alignsig.errors import EmptySystemName, NonEquivalenceRelation
-from alignsig.model import Alignment, Correspondence, canonicalize_alignment
+from alignsig.model import (
+    Alignment,
+    ComparisonConfig,
+    Correction,
+    Correspondence,
+    Mode,
+    canonicalize_alignment,
+)
 
 
 def C(s, t, rel="=", conf=1.0):
@@ -75,3 +82,12 @@ def test_set_algebra_matches_membership_oracle(raw1, raw2):
     assert a1 & a2 == {k for k in universe if k in a1 and k in a2}
     assert a1 - a2 == {k for k in universe if k in a1 and k not in a2}
     assert a1 | a2 == {k for k in universe if k in a1 or k in a2}
+
+
+class TestComparisonConfig:
+    def test_correction_default_follows_the_mode(self):
+        assert ComparisonConfig().correction is Correction.BERGMANN
+        nx1 = ComparisonConfig(mode=Mode.NX1, baseline="AML")
+        assert nx1.correction is Correction.HOLM
+        assert nx1 == ComparisonConfig(mode=Mode.NX1, baseline="AML",
+                                       correction=Correction.HOLM)

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,9 +13,10 @@ from alignsig.siggraph import (
     emit_dot,
     pairwise_outcomes,
     rank_systems,
-    run_comparison,
     serialize_report,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def matrix(names, rows, persp=Perspective.IFP):
@@ -124,7 +128,7 @@ class TestRanking:
 
     def test_cfp_fixture_groups(self):
         m = parse_matrix_tsv(fixture_bytes("anatomy-cfp"), Perspective.CFP)
-        ranks = rank_systems(build_graph(m, cfg(perspective=Perspective.CFP)))
+        ranks = rank_systems(build_graph(m, cfg()))
         assert ("FCA-Map", "XMap") in ranks.groups
         assert ("Lily", "LogMapLite") in ranks.groups
 
@@ -144,24 +148,32 @@ class TestRanking:
 
 class TestReport:
     def test_default_config_reproduces_published_ranking(self, ifp_matrix):
-        report = build_report(ifp_matrix, ComparisonConfig())
+        report = build_report(build_graph(ifp_matrix, ComparisonConfig()))
         assert report["ranking"] == [
             ["AML"], ["CroMatcher"], ["LYAM", "XMap"], ["FCA-Map"], ["Lily"],
             ["LogMapLite", "LPHOM"], ["Alin"], ["DKP-AOM"],
         ]
 
-    def test_run_comparison_graph_and_report_match_the_views(self, ifp_matrix):
-        graph, report = run_comparison(ifp_matrix, cfg())
-        assert graph == build_graph(ifp_matrix, cfg())
-        assert report == build_report(ifp_matrix, cfg())
+    def test_views_of_one_graph_match_the_golden_files(self, ifp_matrix):
+        g = build_graph(ifp_matrix, cfg())
+        golden = (GOLDEN / "anatomy_ifp_bergmann.json").read_bytes()
+        assert emit_dot(g) == (GOLDEN / "anatomy_ifp_bergmann.dot").read_bytes()
+        assert serialize_report(build_report(g)) == golden
+        ranking = [list(group) for group in rank_systems(g).groups]
+        assert ranking == json.loads(golden)["ranking"]
+
+    def test_cfp_matrix_with_default_config_echoes_cfp(self):
+        m = parse_matrix_tsv(fixture_bytes("anatomy-cfp"), Perspective.CFP)
+        report = build_report(build_graph(m, ComparisonConfig()))
+        assert report["config"]["perspective"] == "cfp"
 
     def test_serialization_deterministic(self, ifp_matrix):
-        r1 = serialize_report(build_report(ifp_matrix, cfg()))
-        r2 = serialize_report(build_report(ifp_matrix, cfg()))
+        r1 = serialize_report(build_report(build_graph(ifp_matrix, cfg())))
+        r2 = serialize_report(build_report(build_graph(ifp_matrix, cfg())))
         assert r1 == r2
 
     def test_pair_record_keys(self, ifp_matrix):
-        report = build_report(ifp_matrix, cfg())
+        report = build_report(build_graph(ifp_matrix, cfg()))
         record = report["pairs"][0]
         assert set(record) >= {
             "systems", "n_i", "n_j", "test", "raw_p", "apv", "significant", "winner",
@@ -171,8 +183,8 @@ class TestReport:
     def test_downstream_ignores_n11(self):
         # same discordant counts -> same report, regardless of perspective metadata
         rows = [[0, 40, 10], [5, 0, 20], [30, 2, 0]]
-        r_ifp = build_report(matrix(["A", "B", "C"], rows), cfg())
-        r_cfp = build_report(matrix(["A", "B", "C"], rows, Perspective.CFP),
-                             cfg(perspective=Perspective.CFP))
+        r_ifp = build_report(build_graph(matrix(["A", "B", "C"], rows), cfg()))
+        r_cfp = build_report(build_graph(matrix(["A", "B", "C"], rows, Perspective.CFP),
+                                         cfg()))
         assert r_ifp["pairs"] == r_cfp["pairs"]
         assert r_ifp["graph"] == r_cfp["graph"]
