@@ -55,6 +55,17 @@ def _fail_validation(exc: Exception | str):
     sys.exit(2)
 
 
+def _write(path: Path | None, data: bytes) -> None:
+    """Write an output file, or stdout when no path is given."""
+    if path is None:
+        click.echo(data.decode("utf-8"), nl=False)
+        return
+    try:
+        path.write_bytes(data)
+    except OSError as exc:  # a directory, a missing parent, no permission
+        _fail_validation(exc)
+
+
 @click.group()
 def main():
     """Statistical comparison of alignment systems on one matching task."""
@@ -96,9 +107,9 @@ def compare(reference, alignments, matrix, perspective, test_name, correction,
     except INPUT_ERRORS as exc:
         _fail_validation(exc)
     if dot_out:
-        dot_out.write_bytes(siggraph.emit_dot(graph))
+        _write(dot_out, siggraph.emit_dot(graph))
     if report_out:
-        report_out.write_bytes(siggraph.serialize_report(siggraph.build_report(graph)))
+        _write(report_out, siggraph.serialize_report(siggraph.build_report(graph)))
     for group in siggraph.rank_systems(graph).groups:
         click.echo(" & ".join(group))
 
@@ -132,11 +143,7 @@ def table(reference, alignments, perspective, output):
         )
     except INPUT_ERRORS as exc:
         _fail_validation(exc)
-    data = contingency.write_matrix_tsv(m)
-    if output:
-        output.write_bytes(data)
-    else:
-        click.echo(data.decode("utf-8"), nl=False)
+    _write(output, contingency.write_matrix_tsv(m))
 
 
 @main.command()
@@ -164,11 +171,7 @@ def match(source, target, metric, threshold, system_name, output):
         alignment = matcher.match(src, tgt, kind, threshold, system_name or kind.value)
     except INPUT_ERRORS as exc:
         _fail_validation(exc)
-    data = ingest.write_alignment_tsv(alignment)
-    if output:
-        output.write_bytes(data)
-    else:
-        click.echo(data.decode("utf-8"), nl=False)
+    _write(output, ingest.write_alignment_tsv(alignment))
 
 
 @main.command()

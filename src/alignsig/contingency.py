@@ -30,11 +30,10 @@ def _overlaps(
     of the rows' AND.  Returns ``(g_r, g_f, nr, nids)``, where
     ``nids = |R | A1 | ... | An|``.
     """
-    ids: Dict[tuple, int] = {}
-    for c in r:
-        ids.setdefault(c.key, len(ids))
+    ids: Dict[tuple, int] = {key: i for i, key in enumerate(r.pairs)}
     nr = len(ids)
-    rows = [np.fromiter((ids.setdefault(c.key, len(ids)) for c in a), dtype=np.intp)
+    rows = [np.fromiter((ids.setdefault(key, len(ids)) for key in a.pairs),
+                        dtype=np.intp, count=len(a))
             for a in systems]
     x = np.zeros((len(systems), len(ids)), dtype=bool)
     for i, row in enumerate(rows):

@@ -21,7 +21,7 @@ from .errors import (
     Undecodable,
     XmlSyntax,
 )
-from .model import Alignment, Correspondence, canonicalize_alignment
+from .model import EQUIVALENCE, Alignment, canonicalize_alignment
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def parse_alignment_tsv(data: bytes, system_name: str) -> Alignment:
         if len(fields) > 4:
             raise MalformedLine(line_no, "expected <=4 tab-separated fields")
         source, target = fields[0], fields[1]
-        relation = fields[2] if len(fields) >= 3 else "="
+        relation = fields[2] if len(fields) >= 3 else EQUIVALENCE
         if len(fields) == 4:
             try:
                 confidence = float(fields[3])
@@ -77,9 +77,10 @@ def parse_alignment_tsv(data: bytes, system_name: str) -> Alignment:
                 raise ConfidenceOutOfRange(line_no, confidence)
         else:
             confidence = 1.0
-        if not source.strip() or not target.strip():
+        source, target = source.strip(), target.strip()
+        if not source or not target:
             raise MalformedLine(line_no, "empty source or target")
-        out.append(Correspondence(source, target, relation, confidence))
+        out.append((source, target, relation, confidence))
     return canonicalize_alignment(out, system_name)
 
 
@@ -142,7 +143,7 @@ def parse_alignment_xml(data: bytes, system_name: str) -> Alignment:
             continue
         entity1 = entity2 = None
         measure = 1.0
-        relation = "="
+        relation = EQUIVALENCE
         for child in elem:
             name = _local(child.tag)
             if name == "entity1":
@@ -152,10 +153,10 @@ def parse_alignment_xml(data: bytes, system_name: str) -> Alignment:
             elif name == "measure":
                 measure = _measure(cell_index, child.text)
             elif name == "relation":
-                relation = (child.text or "=").strip()
+                relation = (child.text or EQUIVALENCE).strip()
         if not entity1 or not entity2:
             raise MissingEntity(cell_index)
-        out.append(Correspondence(entity1, entity2, relation, measure))
+        out.append((entity1, entity2, relation, measure))
         cell_index += 1
     return canonicalize_alignment(out, system_name)
 
@@ -185,10 +186,9 @@ def _format_confidence(value: float) -> str:
 
 
 def write_alignment_tsv(alignment: Alignment) -> bytes:
-    """Serialize an alignment; inverse of parse_alignment_tsv on canonical input."""
-    lines = []
-    for c in sorted(alignment, key=lambda c: (c.source, c.target)):
-        lines.append(
-            f"{c.source}\t{c.target}\t{c.relation}\t{_format_confidence(c.confidence)}\n"
-        )
-    return "".join(lines).encode("utf-8")
+    """Serialize an alignment, sorted by (source, target); parse_alignment_tsv
+    reads it back to an equal Alignment."""
+    return "".join(
+        f"{source}\t{target}\t{EQUIVALENCE}\t{_format_confidence(confidence)}\n"
+        for (source, target), confidence in sorted(alignment.pairs.items())
+    ).encode("utf-8")

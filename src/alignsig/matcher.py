@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EmptyTable
 from .ingest import LabelTable
-from .model import Alignment, Correspondence, canonicalize_alignment
+from .model import EQUIVALENCE, Alignment, canonicalize_alignment
 
 
 class MetricKind(Enum):
@@ -393,7 +393,7 @@ def extract_alignment(
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
     kept = [
-        Correspondence(sim.row_ids[i], sim.col_ids[j], "=", float(sim.s[i, j]))
+        (sim.row_ids[i], sim.col_ids[j], EQUIVALENCE, float(sim.s[i, j]))
         for i, j in assignment
         if sim.s[i, j] >= threshold
     ]

@@ -1,8 +1,8 @@
 """The four McNemar statistics over a discordant pair (n01, n10).
 
 All tests are two-sided and symmetric in their arguments.  The exact and
-mid-p tails are evaluated with exact integer arithmetic, so they are
-reliable for discordant totals up to at least 10 000.
+mid-p tails are evaluated with exact integer arithmetic, so they are exact
+at every discordant total n; their cost grows as O(n²).
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Core domain types: correspondences, alignments, contingency tables, config."""
+"""Core domain types: alignments, contingency tables, config."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .errors import (
     EmptySystemName,
@@ -57,65 +57,38 @@ NXN_ONLY_CORRECTIONS = frozenset(
 
 
 @dataclass(frozen=True)
-class Correspondence:
-    """A single mapping between a source and a target entity.
-
-    Identity is (source, target, relation); confidence does not participate,
-    so identical pairs with differing confidence never double-count.
+class Alignment:
+    """A system's correspondences: each ``(source, target)`` key with its
+    highest confidence.  Every key is an equivalence; order carries no meaning.
     """
 
-    source: str
-    target: str
-    relation: str = EQUIVALENCE
-    confidence: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "source", self.source.strip())
-        object.__setattr__(self, "target", self.target.strip())
-        if not self.source or not self.target:
-            raise ValueError("source and target must be non-empty after trimming")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
-
-    @property
-    def key(self) -> tuple:
-        return (self.source, self.target, self.relation)
-
-
-@dataclass(frozen=True)
-class Alignment:
-    """A deduplicated, deterministically ordered set of correspondences."""
-
     system_name: str
-    correspondences: tuple = ()
+    pairs: Dict[Tuple[str, str], float]
 
     def __len__(self) -> int:
-        return len(self.correspondences)
-
-    def __iter__(self) -> Iterator[Correspondence]:
-        return iter(self.correspondences)
-
-    def key_set(self) -> frozenset:
-        return frozenset(c.key for c in self.correspondences)
+        return len(self.pairs)
 
 
-def canonicalize_alignment(raw: Iterable[Correspondence], system_name: str) -> Alignment:
-    """Collapse duplicates (keeping max confidence) and fix iteration order.
+def canonicalize_alignment(
+    rows: List[Tuple[str, str, str, float]], system_name: str
+) -> Alignment:
+    """Collapse ``(source, target, relation, confidence)`` rows into an Alignment.
 
-    Only equivalence correspondences are accepted.  The result is sorted
-    lexicographically by (source, target) so downstream output is stable.
+    Only equivalence rows are accepted, and a key given more than once keeps
+    its highest confidence.  Ids and confidences are checked by the callers:
+    the parsers check those of their input.
     """
     if not system_name or not system_name.strip():
         raise EmptySystemName("system name must be non-empty")
-    best: dict = {}
-    for c in raw:
-        if c.relation != EQUIVALENCE:
-            raise NonEquivalenceRelation(c.source, c.target, c.relation)
-        prev = best.get(c.key)
-        if prev is None or c.confidence > prev.confidence:
-            best[c.key] = c
-    ordered = tuple(sorted(best.values(), key=lambda c: (c.source, c.target)))
-    return Alignment(system_name=system_name.strip(), correspondences=ordered)
+    pairs: Dict[Tuple[str, str], float] = {}
+    for source, target, relation, confidence in rows:
+        if relation != EQUIVALENCE:
+            raise NonEquivalenceRelation(source, target, relation)
+        key = (source, target)
+        prev = pairs.get(key)
+        if prev is None or confidence > prev:
+            pairs[key] = confidence
+    return Alignment(system_name.strip(), pairs)
 
 
 @dataclass(frozen=True)

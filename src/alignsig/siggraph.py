@@ -141,13 +141,18 @@ def build_graph(m: DiscordantMatrix, cfg: ComparisonConfig) -> SignificanceGraph
     )
 
 
+def _dot_id(name: str) -> str:
+    """A system name as a quoted DOT ID, with its backslashes and quotes escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def emit_dot(g: SignificanceGraph) -> bytes:
     """Deterministic DOT rendering; byte-stable for golden-file comparison."""
     lines = ["digraph significance {"]
     for name in sorted(g.nodes):
-        lines.append(f'  "{name}";')
+        lines.append(f"  {_dot_id(name)};")
     for e in sorted(g.edges, key=lambda e: (e.winner, e.loser)):
-        lines.append(f'  "{e.winner}" -> "{e.loser}" [label="{e.apv:.6f}"];')
+        lines.append(f'  {_dot_id(e.winner)} -> {_dot_id(e.loser)} [label="{e.apv:.6f}"];')
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 

@@ -32,7 +32,6 @@ from alignsig.mcnemar import (
 from alignsig.model import (
     ComparisonConfig,
     Correction,
-    Correspondence,
     Perspective,
     TestKind,
     canonicalize_alignment,
@@ -209,10 +208,10 @@ def test_criterion_6_oracle_equivalence():
         def sample(name):
             keys = rng2.sample(universe, rng2.randint(0, 20))
             return canonicalize_alignment(
-                [Correspondence(s, t) for s, t in keys], name
+                [(s, t, "=", 1.0) for s, t in keys], name
             )
         r, a1, a2 = sample("R"), sample("A1"), sample("A2")
-        R, A1, A2 = r.key_set(), a1.key_set(), a2.key_set()
+        R, A1, A2 = set(r.pairs), set(a1.pairs), set(a2.pairs)
         t_ifp = build_table_ifp(r, a1, a2)
         counts = [0, 0, 0, 0]  # n00 n01 n10 n11
         for k in R:

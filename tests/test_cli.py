@@ -179,6 +179,26 @@ class TestBadPaths:
         assert result.output.startswith("error: ")
 
 
+    @pytest.mark.parametrize("command", [
+        ["compare", "--matrix", "{matrix}", "--dot", "{dir}"],
+        ["compare", "--matrix", "{matrix}", "--report", "{missing}/report.json"],
+        ["table", "--reference", "{ref}", "--alignment", "S1={a}", "--alignment", "S2={a}",
+         "--output", "{dir}"],
+        ["match", "--source", "{labels}", "--target", "{labels}", "--metric", "equal",
+         "--output", "{missing}/out.tsv"],
+    ], ids=["compare-dot-directory", "compare-report-missing-directory",
+            "table-output-directory", "match-output-missing-directory"])
+    def test_unwritable_output_path_exits_2(self, runner, tmp_path, command):
+        paths = {"ref": write(tmp_path, "ref.tsv", REF), "a": write(tmp_path, "a.tsv", SYS_A),
+                 "labels": write(tmp_path, "labels.tsv", LABELS),
+                 "matrix": str(fixture_path("anatomy-ifp")),
+                 "missing": str(tmp_path / "missing"), "dir": str(tmp_path)}
+        result = runner.invoke(main, [arg.format(**paths) for arg in command])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: ")
+
+
 class TestTable:
     def test_synthetic_matrix(self, runner, tmp_path):
         ref = write(tmp_path, "ref.tsv", REF)

@@ -1,3 +1,6 @@
+import random
+from xml.sax.saxutils import quoteattr
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +21,7 @@ from alignsig.ingest import (
     text_lines,
     write_alignment_tsv,
 )
-from alignsig.model import Correspondence, canonicalize_alignment
+from alignsig.model import canonicalize_alignment
 
 BOM = b"\xef\xbb\xbf"
 
@@ -42,14 +45,11 @@ ALIGNMENT_XML = b"""<?xml version="1.0"?>
 class TestTsvParsing:
     def test_full_row(self):
         a = parse_alignment_tsv(b"a\tb\t=\t0.8\n", "s")
-        assert [c.key for c in a] == [("a", "b", "=")]
-        assert a.correspondences[0].confidence == 0.8
+        assert a.pairs == {("a", "b"): 0.8}
 
     def test_defaults_and_comments(self):
         a = parse_alignment_tsv(b"a\tb\n# comment\n\n", "s")
-        (c,) = a.correspondences
-        assert c.relation == "="
-        assert c.confidence == 1.0
+        assert a.pairs == {("a", "b"): 1.0}
 
     def test_too_few_fields(self):
         with pytest.raises(MalformedLine) as exc:
@@ -62,7 +62,7 @@ class TestTsvParsing:
 
     def test_byte_order_mark_is_not_part_of_the_first_id(self):
         a = parse_alignment_tsv(BOM + b"a\tb\n", "s")
-        assert [c.key for c in a] == [("a", "b", "=")]
+        assert list(a.pairs) == [("a", "b")]
 
     def test_undecodable_byte_reports_its_offset(self):
         with pytest.raises(Undecodable) as exc:
@@ -74,9 +74,7 @@ class TestTsvParsing:
 class TestXmlParsing:
     def test_single_cell(self):
         a = parse_alignment_xml(ALIGNMENT_XML, "s")
-        (c,) = a.correspondences
-        assert c.key == ("http://x#A", "http://y#B", "=")
-        assert c.confidence == 0.95
+        assert a.pairs == {("http://x#A", "http://y#B"): 0.95}
 
     def test_zero_cells(self):
         a = parse_alignment_xml(b"<rdf><Alignment/></rdf>", "s")
@@ -106,7 +104,7 @@ class TestXmlParsing:
 
     def test_byte_order_mark_before_the_document(self):
         a = parse_alignment_xml(BOM + ALIGNMENT_XML, "s")
-        assert [c.key for c in a] == [("http://x#A", "http://y#B", "=")]
+        assert list(a.pairs) == [("http://x#A", "http://y#B")]
 
     def test_unknown_declared_encoding(self):
         with pytest.raises(XmlSyntax):
@@ -121,6 +119,44 @@ class TestXmlParsing:
         with pytest.raises(XmlSyntax) as exc:
             parse_alignment_xml(ALIGNMENT_XML[:80], "s")
         assert exc.value.position is not None
+
+
+def xml_cells(*cells: bytes) -> bytes:
+    return b"<r>" + b"".join(b"<Cell>" + c + b"</Cell>" for c in cells) + b"</r>"
+
+
+class TestParserChecks:
+    """The id and confidence checks each parser makes on its input."""
+
+    def test_ids_are_stored_trimmed(self):
+        tsv = parse_alignment_tsv(b"  a \t b \v\n", "s")
+        xml = parse_alignment_xml(
+            xml_cells(b'<entity1 resource="  a "/><entity2 resource=" b&#9;"/>'), "s")
+        assert tsv.pairs == xml.pairs == {("a", "b"): 1.0}
+
+    def test_rejects_empty_id_after_trim(self):
+        with pytest.raises(MalformedLine) as exc:
+            parse_alignment_tsv(b"a\tb\n  \tc\n", "s")
+        assert exc.value.line_no == 2
+        with pytest.raises(MissingEntity):
+            parse_alignment_xml(
+                xml_cells(b'<entity1 resource="a"/><entity2 resource="&#9; "/>'), "s")
+
+    @pytest.mark.parametrize("confidence", [b"1.5", b"-0.1", b"inf"])
+    def test_rejects_out_of_range_confidence(self, confidence):
+        with pytest.raises(ConfidenceOutOfRange):
+            parse_alignment_tsv(b"a\tb\t=\t" + confidence + b"\n", "s")
+        with pytest.raises(BadMeasure):
+            parse_alignment_xml(xml_cells(
+                b'<entity1 resource="a"/><entity2 resource="b"/><measure>'
+                + confidence + b"</measure>"), "s")
+
+    def test_identity_ignores_confidence(self):
+        tsv = parse_alignment_tsv(b"a\tb\t=\t0.1\na\tb\t=\t0.9\na\tb\t=\t0.5\n", "s")
+        xml = parse_alignment_xml(xml_cells(*(
+            b'<entity1 resource="a"/><entity2 resource="b"/><measure>%s</measure>' % m
+            for m in (b"0.1", b"0.9", b"0.5"))), "s")
+        assert tsv.pairs == xml.pairs == {("a", "b"): 0.9}
 
 
 class TestLabelList:
@@ -159,8 +195,7 @@ class TestLineSplitting:
 
     def test_crlf_is_not_part_of_the_text(self):
         a = parse_alignment_tsv(b"a\tb\t=\t0.5\r\nc\td\r\n", "s")
-        assert [(c.key, c.confidence) for c in a] == [(("a", "b", "="), 0.5),
-                                                       (("c", "d", "="), 1.0)]
+        assert a.pairs == {("a", "b"): 0.5, ("c", "d"): 1.0}
 
     def test_lines_after_the_bom(self):
         assert list(text_lines(BOM + b"x\r\n\ny")) == [(1, "x"), (2, ""), (3, "y")]
@@ -179,8 +214,7 @@ class TestWideEncodings:
     @pytest.mark.parametrize("declared", ["UTF-16", "UTF-32", "UTF-16-BE"])
     def test_bom_decides_whatever_the_declaration_names(self, encoding, bom, declared):
         a = parse_alignment_xml(bom + WIDE_XML.format(declared).encode(encoding), "s")
-        assert [(c.key, c.confidence) for c in a] == [
-            (("http://x#Ä", "http://y#B", "="), 0.5)]
+        assert a.pairs == {("http://x#Ä", "http://y#B"): 0.5}
 
     def test_undecodable_utf32(self):
         with pytest.raises(Undecodable) as exc:
@@ -195,26 +229,69 @@ class TestWideEncodings:
 
 class TestWriting:
     def test_minimal_confidence_digits(self):
-        a = canonicalize_alignment([Correspondence("a", "b")], "s")
+        a = canonicalize_alignment([("a", "b", "=", 1.0)], "s")
         assert write_alignment_tsv(a) == b"a\tb\t=\t1\n"
 
     def test_empty(self):
         assert write_alignment_tsv(canonicalize_alignment([], "s")) == b""
 
+    def test_sorted_by_source_then_target_whatever_the_input_order(self):
+        rows = [(s, t, "=", 0.5) for s in ("b", "a", "ab") for t in ("y", "x", "B")]
+        expected = "".join(f"{s}\t{t}\t=\t0.5\n" for s, t, _, _ in sorted(rows)).encode()
+        for seed in range(5):
+            random.Random(seed).shuffle(rows)
+            assert write_alignment_tsv(canonicalize_alignment(rows, "s")) == expected
 
-corr_strategy = st.builds(
-    Correspondence,
-    source=st.text(alphabet="abcdef", min_size=1, max_size=6),
-    target=st.text(alphabet="uvwxyz", min_size=1, max_size=6),
-    relation=st.just("="),
-    confidence=st.floats(0, 1, allow_nan=False),
+
+row_strategy = st.tuples(
+    st.text(alphabet="abcdef", min_size=1, max_size=6),
+    st.text(alphabet="uvwxyz", min_size=1, max_size=6),
+    st.just("="),
+    st.floats(0, 1, allow_nan=False),
 )
 
 
-@given(st.lists(corr_strategy, max_size=100))
+@given(st.lists(row_strategy, max_size=100))
 def test_tsv_round_trip_is_identity(raw):
     a = canonicalize_alignment(raw, "s")
     assert parse_alignment_tsv(write_alignment_tsv(a), "s") == a
+
+
+# ids padded with spaces and tabs, drawn from few values so that keys repeat
+_PADDED_IDS = st.tuples(
+    st.text(alphabet=" \t", max_size=2),
+    st.sampled_from(["a", "b", "é", "a&b", '<"q">', "c#d"]),
+    st.text(alphabet=" \t", max_size=2),
+).map("".join)
+_PADDED_ROWS = st.lists(st.tuples(_PADDED_IDS, _PADDED_IDS, st.floats(0, 1)), max_size=30)
+
+
+def _as_tsv(rows) -> bytes:
+    # a tab would split a TSV field, so TSV ids are padded with spaces only
+    def pad(id_):
+        return id_.replace("\t", " ")
+    return "".join(f"{pad(s)}\t{pad(t)}\t=\t{c!r}\n" for s, t, c in rows).encode()
+
+
+def _as_xml(rows) -> bytes:
+    cells = "".join(
+        f"<Cell><entity1 rdf:resource={quoteattr(s)}/><entity2 rdf:resource={quoteattr(t)}/>"
+        f'<measure rdf:datatype="xsd:float">{c!r}</measure><relation>=</relation></Cell>'
+        for s, t, c in rows)
+    return ('<?xml version="1.0"?>'
+            '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" '
+            'xmlns="http://knowledgeweb.semanticweb.org/heterogeneity/alignment">'
+            f"<Alignment><map>{cells}</map></Alignment></rdf:RDF>").encode()
+
+
+@given(_PADDED_ROWS)
+def test_both_parsers_equal_a_max_by_key_reduction(rows):
+    expected = {}
+    for s, t, c in rows:
+        key = (s.strip(), t.strip())
+        expected[key] = max(expected.get(key, c), c)
+    assert parse_alignment_tsv(_as_tsv(rows), "s").pairs == expected
+    assert parse_alignment_xml(_as_xml(rows), "s").pairs == expected
 
 
 # fragments of both formats, so that generated inputs get past the first check

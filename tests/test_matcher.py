@@ -304,7 +304,7 @@ class TestExtract:
     def test_threshold_one_keeps_exact_only(self):
         sim = self.make()
         a = extract_alignment(sim, hungarian_assign(sim), 1.0, "m")
-        assert [c.key for c in a] == [("s0", "t0", "=")]
+        assert a.pairs == {("s0", "t0"): 1.0}
 
     def test_threshold_filters_expected_count(self):
         sim = self.make()
@@ -318,4 +318,4 @@ def test_end_to_end_identity_on_shared_labels(metric):
     src = LabelTable(rows=rows)
     tgt = LabelTable(rows=tuple((f"t_{i}", l) for i, l in rows))
     a = match(src, tgt, metric, threshold=1.0, system_name="m")
-    assert {(c.source, c.target) for c in a} == {(i, f"t_{i}") for i, _ in rows}
+    assert set(a.pairs) == {(i, f"t_{i}") for i, _ in rows}

@@ -106,6 +106,12 @@ class TestEmitDot:
         label = dot.split(b'label="')[1].split(b'"')[0]
         assert len(label.split(b".")[1]) == 6
 
+    def test_quotes_and_backslashes_in_names_are_escaped(self):
+        m = matrix(['A"x', "B\\"], [[0, 40], [0, 0]])
+        dot = emit_dot(build_graph(m, cfg(correction=Correction.NONE)))
+        assert dot == (b'digraph significance {\n  "A\\"x";\n  "B\\\\";\n'
+                       b'  "A\\"x" -> "B\\\\" [label="0.000000"];\n}\n')
+
     def test_deterministic_across_runs(self, ifp_matrix):
         a = emit_dot(build_graph(ifp_matrix, cfg()))
         b = emit_dot(build_graph(ifp_matrix, cfg()))
