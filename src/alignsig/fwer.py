@@ -1,8 +1,10 @@
 """Family-wise error rate control: adjusted p-values for N x N and N x 1 families.
 
-All adjusters take a HypothesisSet and return adjusted p-values aligned with
-the input hypothesis order.  Ties in raw p-values are broken by construction
-order, which callers keep lexicographic for determinism.
+A family is positional.  In N x N mode it holds one raw p-value per pair of
+systems 0..n-1, in itertools.combinations(range(n), 2) order; in N x 1 mode
+one per non-baseline system.  Every adjuster returns the adjusted p-values
+(APVs) as a tuple in that same order.  Ties in raw p-values are broken by
+position.
 """
 
 from __future__ import annotations
@@ -11,64 +13,50 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
+from typing import Callable, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ModeMismatch, TooManySystems
 from .model import DEFAULT_BERGMANN_CAP, Correction, Mode
 
+APV = Tuple[float, ...]
+
 
 @dataclass(frozen=True)
 class HypothesisSet:
-    """Pairwise hypotheses with their raw p-values.
+    """The raw p-values of a pairwise family, by position.
 
-    In NxN mode the hypotheses must be all n(n-1)/2 unordered pairs of
-    `systems`; in Nx1 mode the n-1 pairs involving the baseline.
+    N x N: n(n-1)/2 p-values, one per pair in combinations(range(n), 2)
+    order.  N x 1: n-1 p-values, one per non-baseline system.
     """
 
-    systems: Tuple[str, ...]
-    hypotheses: Tuple[Tuple[Tuple[str, str], float], ...]
+    n_systems: int
+    raw_p: Tuple[float, ...]
     mode: Mode
 
     def __post_init__(self):
-        n = len(self.systems)
+        n = self.n_systems
         expected = n * (n - 1) // 2 if self.mode is Mode.NXN else n - 1
-        if len(self.hypotheses) != expected:
+        if len(self.raw_p) != expected:
             raise ValueError(
                 f"{self.mode.value} with {n} systems needs {expected} hypotheses, "
-                f"got {len(self.hypotheses)}"
+                f"got {len(self.raw_p)}"
             )
-        for _, p in self.hypotheses:
+        for p in self.raw_p:
             if not 0.0 <= p <= 1.0:
                 raise ValueError("raw p-values must lie in [0, 1]")
 
     @property
     def k(self) -> int:
-        return len(self.hypotheses)
-
-    @property
-    def raw_p(self) -> List[float]:
-        return [p for _, p in self.hypotheses]
-
-
-@dataclass(frozen=True)
-class AdjustedResults:
-    hypotheses: Tuple[Tuple[Tuple[str, str], float], ...]
-    apv: Tuple[float, ...]
-    method: Correction
-
-    def rejected_at(self, alpha: float) -> List[int]:
-        """Indices of hypotheses with APV strictly below alpha."""
-        return [i for i, v in enumerate(self.apv) if v < alpha]
+        return len(self.raw_p)
 
 
 def _ordered_indices(p: Sequence[float]) -> List[int]:
     return sorted(range(len(p)), key=lambda i: (p[i], i))
 
 
-def _stepdown(h: HypothesisSet, factor: Callable[[float, int], float],
-              method: Correction) -> AdjustedResults:
+def _stepdown(h: HypothesisSet, factor: Callable[[float, int], float]) -> APV:
     """Generic step-down adjustment: running max of factor(p_(j), j) over j <= i."""
     p = h.raw_p
     order = _ordered_indices(p)
@@ -77,35 +65,33 @@ def _stepdown(h: HypothesisSet, factor: Callable[[float, int], float],
     for rank, idx in enumerate(order, start=1):
         running = max(running, factor(p[idx], rank))
         apv[idx] = min(1.0, running)
-    return AdjustedResults(hypotheses=h.hypotheses, apv=tuple(apv), method=method)
+    return tuple(apv)
 
 
-def adjust_none(h: HypothesisSet) -> AdjustedResults:
-    return AdjustedResults(hypotheses=h.hypotheses, apv=tuple(h.raw_p),
-                           method=Correction.NONE)
+def adjust_none(h: HypothesisSet) -> APV:
+    return tuple(h.raw_p)
 
 
-def adjust_bonferroni(h: HypothesisSet) -> AdjustedResults:
-    apv = tuple(min(1.0, h.k * p) for p in h.raw_p)
-    return AdjustedResults(hypotheses=h.hypotheses, apv=apv, method=Correction.BONFERRONI)
+def adjust_bonferroni(h: HypothesisSet) -> APV:
+    return tuple(min(1.0, h.k * p) for p in h.raw_p)
 
 
-def adjust_holm(h: HypothesisSet) -> AdjustedResults:
+def adjust_holm(h: HypothesisSet) -> APV:
     k = h.k
-    return _stepdown(h, lambda p, j: (k + 1 - j) * p, Correction.HOLM)
+    return _stepdown(h, lambda p, j: (k + 1 - j) * p)
 
 
-def adjust_holland(h: HypothesisSet) -> AdjustedResults:
+def adjust_holland(h: HypothesisSet) -> APV:
     k = h.k
-    return _stepdown(h, lambda p, j: 1.0 - (1.0 - p) ** (k + 1 - j), Correction.HOLLAND)
+    return _stepdown(h, lambda p, j: 1.0 - (1.0 - p) ** (k + 1 - j))
 
 
-def adjust_finner(h: HypothesisSet) -> AdjustedResults:
+def adjust_finner(h: HypothesisSet) -> APV:
     k = h.k
-    return _stepdown(h, lambda p, j: 1.0 - (1.0 - p) ** (k / j), Correction.FINNER)
+    return _stepdown(h, lambda p, j: 1.0 - (1.0 - p) ** (k / j))
 
 
-def adjust_hochberg(h: HypothesisSet) -> AdjustedResults:
+def adjust_hochberg(h: HypothesisSet) -> APV:
     """Step-up: running min of (k + 1 - j) * p_(j) from the largest p downward."""
     p = h.raw_p
     k = h.k
@@ -116,8 +102,7 @@ def adjust_hochberg(h: HypothesisSet) -> AdjustedResults:
         idx = order[rank - 1]
         running = min(running, (k + 1 - rank) * p[idx])
         apv[idx] = min(1.0, running)
-    return AdjustedResults(hypotheses=h.hypotheses, apv=tuple(apv),
-                           method=Correction.HOCHBERG)
+    return tuple(apv)
 
 
 def _require_nxn(h: HypothesisSet, correction: Correction):
@@ -125,11 +110,10 @@ def _require_nxn(h: HypothesisSet, correction: Correction):
         raise ModeMismatch(correction.value, h.mode.value)
 
 
-def adjust_nemenyi(h: HypothesisSet) -> AdjustedResults:
+def adjust_nemenyi(h: HypothesisSet) -> APV:
     """Single-step Bonferroni over the full k = n(n-1)/2 family."""
     _require_nxn(h, Correction.NEMENYI)
-    apv = tuple(min(1.0, h.k * p) for p in h.raw_p)
-    return AdjustedResults(hypotheses=h.hypotheses, apv=apv, method=Correction.NEMENYI)
+    return adjust_bonferroni(h)
 
 
 @lru_cache(maxsize=None)
@@ -151,21 +135,13 @@ def shaffer_true_counts(n_systems: int) -> FrozenSet[int]:
     return frozenset(out)
 
 
-def adjust_shaffer(h: HypothesisSet) -> AdjustedResults:
+def adjust_shaffer(h: HypothesisSet) -> APV:
     """Holm-style step-down with t_i = max{s in S(n) : s <= k - i + 1}."""
     _require_nxn(h, Correction.SHAFFER)
-    s = shaffer_true_counts(len(h.systems))
+    s = shaffer_true_counts(h.n_systems)
     k = h.k
     t = [max(v for v in s if v <= k - i + 1) for i in range(1, k + 1)]
-    return _stepdown(h, lambda p, j: t[j - 1] * p, Correction.SHAFFER)
-
-
-def _pair_index(systems: Sequence[str]) -> Dict[Tuple[str, str], int]:
-    index = {}
-    for i, (a, b) in enumerate(itertools.combinations(systems, 2)):
-        index[(a, b)] = i
-        index[(b, a)] = i
-    return index
+    return _stepdown(h, lambda p, j: t[j - 1] * p)
 
 
 def _restricted_growth_strings(n_systems: int) -> np.ndarray:
@@ -228,7 +204,7 @@ def bergmann_exhaustive_sets(
     return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
 
-def adjust_bergmann(h: HypothesisSet, cap: int = DEFAULT_BERGMANN_CAP) -> AdjustedResults:
+def adjust_bergmann(h: HypothesisSet, cap: int = DEFAULT_BERGMANN_CAP) -> APV:
     """Bergmann's dynamic procedure via the acceptance-set definition.
 
     A hypothesis is retained at level alpha iff some exhaustive set I
@@ -243,22 +219,16 @@ def adjust_bergmann(h: HypothesisSet, cap: int = DEFAULT_BERGMANN_CAP) -> Adjust
     ascending-p column order, so no float matrix of the sets' size is built.
     """
     _require_nxn(h, Correction.BERGMANN)
-    member = _exhaustive_membership(len(h.systems), cap)
-    # h.hypotheses pair order must map onto combinations(range(n), 2) indices
-    name_pair_idx = _pair_index(h.systems)
-    p_by_idx = np.zeros(h.k)
-    for pair, p in h.hypotheses:
-        p_by_idx[name_pair_idx[pair]] = p
-    by_p = np.argsort(p_by_idx, kind="stable")
-    min_p = p_by_idx[by_p][member[:, by_p].argmax(axis=1)]
+    member = _exhaustive_membership(h.n_systems, cap)
+    p = np.asarray(h.raw_p, dtype=float)
+    by_p = np.argsort(p, kind="stable")
+    min_p = p[by_p][member[:, by_p].argmax(axis=1)]
     bound = member.sum(axis=1) * min_p
-    apv_by_idx = [min(1.0, bound[member[:, i]].max().item()) for i in range(h.k)]
-    apv = tuple(apv_by_idx[name_pair_idx[pair]] for pair, _ in h.hypotheses)
-    return AdjustedResults(hypotheses=h.hypotheses, apv=apv, method=Correction.BERGMANN)
+    return tuple(min(1.0, bound[member[:, i]].max().item()) for i in range(h.k))
 
 
 def adjust(h: HypothesisSet, correction: Correction,
-           bergmann_cap: int = DEFAULT_BERGMANN_CAP) -> AdjustedResults:
+           bergmann_cap: int = DEFAULT_BERGMANN_CAP) -> APV:
     """Dispatch on the configured correction method."""
     if correction is Correction.BERGMANN:
         return adjust_bergmann(h, cap=bergmann_cap)

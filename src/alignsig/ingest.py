@@ -67,7 +67,7 @@ def parse_alignment_tsv(data: bytes, system_name: str) -> Alignment:
         if len(fields) > 4:
             raise MalformedLine(line_no, "expected <=4 tab-separated fields")
         source, target = fields[0], fields[1]
-        relation = fields[2] if len(fields) >= 3 else EQUIVALENCE
+        relation = fields[2].strip() if len(fields) >= 3 else EQUIVALENCE
         if len(fields) == 4:
             try:
                 confidence = float(fields[3])

@@ -1,16 +1,17 @@
 """The four McNemar statistics over a discordant pair (n01, n10).
 
 All tests are two-sided and symmetric in their arguments.  The exact and
-mid-p tails are evaluated with exact integer arithmetic, so they are exact
-at every discordant total n; their cost grows as O(n²).
+mid-p tails are exact integer sums over 2**n, for n = n01 + n10, turned into
+a float by one int / int division, which CPython rounds correctly; so they are
+the nearest doubles to the true values at every n.  Summing the tail costs
+O(n²).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from typing import Optional, Tuple
 
 from .errors import UndefinedStatistic
 from .model import TestKind
@@ -77,43 +78,40 @@ def cc_test(n01: int, n10: int) -> TestResult:
     )
 
 
-def _binomial_tail(n: int, b: int) -> int:
-    """Sum of C(n, x) for x = b..n, exactly."""
-    c = math.comb(n, b)
-    total = c
-    for x in range(b, n):
-        c = c * (n - x) // (x + 1)
-        total += c
-    return total
+def _exact_counts(n01: int, n10: int) -> Tuple[int, int, int]:
+    """Numerators over 2**n of the two-sided tail and the point, and 2**n.
 
-
-def _exact_fractions(n01: int, n10: int):
-    """Two-sided exact p (capped at 1) and point probability, as Fractions."""
+    With n = n01 + n10 and b = max(n01, n10), the two-sided tail is
+    2 * sum of C(n, x) for x = b..n, capped at 2**n, and the point is C(n, b).
+    The tail sum includes the point, so point <= two-sided tail <= 2**n.
+    """
     n = n01 + n10
     b = max(n01, n10)
-    denom = 1 << n
-    one_sided = Fraction(_binomial_tail(n, b), denom)
-    two_sided = min(Fraction(1), 2 * one_sided)
-    point = Fraction(math.comb(n, b), denom)
-    return two_sided, point
+    point = c = math.comb(n, b)
+    tail = c
+    for x in range(b, n):
+        c = c * (n - x) // (x + 1)
+        tail += c
+    whole = 1 << n
+    return min(2 * tail, whole), point, whole
 
 
 def exact_test(n01: int, n10: int) -> TestResult:
     """Exact binomial test: the larger discordant count against Bin(n, 1/2)."""
     _check_defined(n01, n10)
-    two_sided, _ = _exact_fractions(n01, n10)
+    two_sided, _, whole = _exact_counts(n01, n10)
     return TestResult(
-        test_kind=TestKind.EXACT, n01=n01, n10=n10, p_value=float(two_sided)
+        test_kind=TestKind.EXACT, n01=n01, n10=n10, p_value=two_sided / whole
     )
 
 
 def midp_test(n01: int, n10: int) -> TestResult:
     """Exact two-sided p minus the point probability of the observed count."""
     _check_defined(n01, n10)
-    two_sided, point = _exact_fractions(n01, n10)
-    p = two_sided - point
-    p = min(Fraction(1), max(Fraction(0), p))
-    return TestResult(test_kind=TestKind.MIDP, n01=n01, n10=n10, p_value=float(p))
+    two_sided, point, whole = _exact_counts(n01, n10)
+    return TestResult(
+        test_kind=TestKind.MIDP, n01=n01, n10=n10, p_value=(two_sided - point) / whole
+    )
 
 
 _DISPATCH = {

@@ -30,28 +30,34 @@ class PairOutcome:
     small_sample: bool = False
     note: Optional[str] = None
 
+    @property
+    def loser(self) -> Optional[str]:
+        """The other system of a pair with a winner, else None."""
+        if self.winner is None:
+            return None
+        return self.system_b if self.winner == self.system_a else self.system_a
 
-@dataclass(frozen=True)
-class Edge:
-    winner: str
-    loser: str
-    apv: float
-    raw_p: float
-    n_winner: int
-    n_loser: int
+    @property
+    def n_winner(self) -> int:
+        return self.n_a if self.winner == self.system_a else self.n_b
+
+    @property
+    def n_loser(self) -> int:
+        return self.n_b if self.winner == self.system_a else self.n_a
 
 
 @dataclass(frozen=True)
 class SignificanceGraph:
     """The result of one comparison: every pair's outcome, drawn as a digraph.
 
-    ``outcomes`` holds every compared pair in pair order, ``edges`` one
-    winner -> loser edge per significant pair; ``perspective`` is the one the
-    counts were taken under.  DOT, ranking and report are views of it.
+    ``outcomes`` holds every compared pair in pair order.  ``edges`` holds the
+    significant ones, each drawn winner -> loser, sorted by (winner, loser).
+    ``perspective`` is the one the counts were taken under.  DOT, ranking and
+    report are views of it.
     """
 
     nodes: Tuple[str, ...]
-    edges: Tuple[Edge, ...]
+    edges: Tuple[PairOutcome, ...]
     outcomes: Tuple[PairOutcome, ...]
     perspective: Perspective
     config: ComparisonConfig
@@ -73,6 +79,9 @@ class RankTable:
 
 
 def _pairs_for_mode(systems: Tuple[str, ...], cfg: ComparisonConfig):
+    """The compared name pairs, each sorted, in fwer's positional order: pair i
+    of combinations(range(n), 2) over the sorted names (N x N), or the
+    baseline against each other system in name order (N x 1)."""
     if cfg.mode is Mode.NX1:
         if cfg.baseline not in systems:
             raise ValueError(f"baseline {cfg.baseline!r} not among systems")
@@ -89,52 +98,31 @@ def pairwise_outcomes(m: DiscordantMatrix, cfg: ComparisonConfig) -> List[PairOu
     enter the hypothesis family with p = 1 so the family size stays at its
     nominal k, but can never produce an edge.
     """
-    systems = m.systems
-    pairs = _pairs_for_mode(systems, cfg)
-    raw = []
-    for a, b in pairs:
-        n_a, n_b = m.pair_counts(m.index(a), m.index(b))
-        if n_a == 0 and n_b == 0:
-            raw.append((a, b, n_a, n_b, 1.0, False, NO_EVIDENCE_NOTE))
-        else:
-            result = run_test(cfg.test, n_a, n_b)
-            raw.append((a, b, n_a, n_b, result.p_value, result.small_sample, None))
-    hyp = HypothesisSet(
-        systems=tuple(sorted(systems)),
-        hypotheses=tuple(((a, b), p) for a, b, _, _, p, _, _ in raw),
-        mode=cfg.mode,
-    )
-    adjusted = adjust(hyp, cfg.correction, bergmann_cap=cfg.bergmann_cap)
+    pairs = _pairs_for_mode(m.systems, cfg)
+    counts = [m.pair_counts(m.index(a), m.index(b)) for a, b in pairs]
+    results = [run_test(cfg.test, n_a, n_b) if n_a or n_b else None for n_a, n_b in counts]
+    raw_p = tuple(1.0 if r is None else r.p_value for r in results)
+    apvs = adjust(HypothesisSet(len(m.systems), raw_p, cfg.mode), cfg.correction,
+                  bergmann_cap=cfg.bergmann_cap)
     outcomes = []
-    for (a, b, n_a, n_b, p, small, note), apv in zip(raw, adjusted.apv):
-        significant = apv < cfg.alpha and n_a != n_b and note is None
-        winner = None
-        if significant:
-            winner = a if n_a > n_b else b
+    for (a, b), (n_a, n_b), r, p, apv in zip(pairs, counts, results, raw_p, apvs):
+        significant = r is not None and n_a != n_b and apv < cfg.alpha
         outcomes.append(
             PairOutcome(
-                system_a=a, system_b=b, n_a=n_a, n_b=n_b,
-                raw_p=p, apv=apv, significant=significant, winner=winner,
-                small_sample=small, note=note,
+                system_a=a, system_b=b, n_a=n_a, n_b=n_b, raw_p=p, apv=apv,
+                significant=significant,
+                winner=(a if n_a > n_b else b) if significant else None,
+                small_sample=r is not None and r.small_sample,
+                note=NO_EVIDENCE_NOTE if r is None else None,
             )
         )
     return outcomes
 
 
 def build_graph(m: DiscordantMatrix, cfg: ComparisonConfig) -> SignificanceGraph:
-    """The one comparison pass: outcomes of every pair, an edge per rejected pair."""
+    """The one comparison pass: outcomes of every pair, the significant ones as edges."""
     outcomes = tuple(pairwise_outcomes(m, cfg))
-    edges = []
-    for o in outcomes:
-        if not o.significant:
-            continue
-        loser = o.system_b if o.winner == o.system_a else o.system_a
-        n_w, n_l = (o.n_a, o.n_b) if o.winner == o.system_a else (o.n_b, o.n_a)
-        edges.append(
-            Edge(winner=o.winner, loser=loser, apv=o.apv, raw_p=o.raw_p,
-                 n_winner=n_w, n_loser=n_l)
-        )
-    edges.sort(key=lambda e: (e.winner, e.loser))
+    edges = sorted((o for o in outcomes if o.significant), key=lambda o: (o.winner, o.loser))
     return SignificanceGraph(
         nodes=tuple(sorted(m.systems)), edges=tuple(edges), outcomes=outcomes,
         perspective=m.perspective, config=cfg,
@@ -151,7 +139,7 @@ def emit_dot(g: SignificanceGraph) -> bytes:
     lines = ["digraph significance {"]
     for name in sorted(g.nodes):
         lines.append(f"  {_dot_id(name)};")
-    for e in sorted(g.edges, key=lambda e: (e.winner, e.loser)):
+    for e in g.edges:
         lines.append(f'  {_dot_id(e.winner)} -> {_dot_id(e.loser)} [label="{e.apv:.6f}"];')
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -44,6 +44,18 @@ class TestCompare:
         assert len(report["pairs"]) == 45
         assert (tmp_path / "graph.dot").read_bytes().startswith(b"digraph significance {")
 
+    def test_default_compare_writes_the_golden_files(self, runner, tmp_path):
+        golden = Path(__file__).parent / "golden"
+        result = runner.invoke(main, [
+            "compare", "--matrix", str(fixture_path("anatomy-ifp")),
+            "--dot", str(tmp_path / "graph.dot"), "--report", str(tmp_path / "report.json"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert ((tmp_path / "graph.dot").read_bytes()
+                == (golden / "anatomy_ifp_bergmann.dot").read_bytes())
+        assert ((tmp_path / "report.json").read_bytes()
+                == (golden / "anatomy_ifp_bergmann.json").read_bytes())
+
     def test_mode_correction_mismatch_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, [
             "compare", "--matrix", str(fixture_path("anatomy-ifp")),

@@ -29,21 +29,17 @@ from alignsig.model import Mode
 def nxn_hypotheses(pvals):
     """Build an NxN HypothesisSet for n systems from k = n(n-1)/2 p-values."""
     n = round((1 + math.isqrt(1 + 8 * len(pvals))) / 2)
-    systems = tuple(f"S{i}" for i in range(n))
-    pairs = list(itertools.combinations(systems, 2))
-    assert len(pairs) == len(pvals)
-    return HypothesisSet(
-        systems=systems,
-        hypotheses=tuple(zip(pairs, pvals)),
-        mode=Mode.NXN,
-    )
+    assert n * (n - 1) // 2 == len(pvals)
+    return HypothesisSet(n, tuple(pvals), Mode.NXN)
 
 
 def nx1_hypotheses(pvals):
-    systems = tuple(f"S{i}" for i in range(len(pvals) + 1))
-    pairs = [(systems[0], s) for s in systems[1:]]
-    return HypothesisSet(systems=systems, hypotheses=tuple(zip(pairs, pvals)),
-                         mode=Mode.NX1)
+    return HypothesisSet(len(pvals) + 1, tuple(pvals), Mode.NX1)
+
+
+def rejected_at(apv, alpha):
+    """Indices of hypotheses with APV strictly below alpha."""
+    return [i for i, v in enumerate(apv) if v < alpha]
 
 
 def partitions(items):
@@ -93,14 +89,35 @@ def oracle_bergmann_apv(pvals):
     return tuple(min(1.0, v) for v in apv)
 
 
+class TestHypothesisSet:
+    @pytest.mark.parametrize("mode, n_systems, k", [
+        (Mode.NXN, 3, 2),  # the B-C pair of three systems missing
+        (Mode.NXN, 3, 4),
+        (Mode.NX1, 3, 3),
+        (Mode.NX1, 3, 1),
+    ])
+    def test_rejects_a_family_of_the_wrong_size(self, mode, n_systems, k):
+        with pytest.raises(ValueError, match="hypotheses"):
+            HypothesisSet(n_systems, (0.1,) * k, mode)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    def test_rejects_p_outside_the_unit_interval(self, p):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            HypothesisSet(3, (0.1, p, 0.2), Mode.NXN)
+
+    def test_k_counts_the_hypotheses(self):
+        assert nxn_hypotheses([0.5] * 45).k == 45
+        assert nx1_hypotheses([0.5] * 9).k == 9
+
+
 class TestSingleStep:
     def test_bonferroni_direct_product(self):
         h = nx1_hypotheses([0.03] * 10)
-        assert adjust_bonferroni(h).apv == tuple([0.3] * 10)
+        assert adjust_bonferroni(h) == tuple([0.3] * 10)
 
     def test_bonferroni_clamp(self):
         h = nx1_hypotheses([0.2] * 10)
-        assert adjust_bonferroni(h).apv == tuple([1.0] * 10)
+        assert adjust_bonferroni(h) == tuple([1.0] * 10)
 
     def test_fwer_motivation_arithmetic(self):
         # with 5 systems, k = 10; P(no type-I over 10 tests at alpha=.05)
@@ -113,12 +130,12 @@ class TestSingleStep:
 
     def test_nemenyi_equals_bonferroni(self):
         h = nxn_hypotheses([0.001] * 45)  # n = 10
-        assert adjust_nemenyi(h).apv == adjust_bonferroni(h).apv
-        assert adjust_nemenyi(h).apv[0] == 0.045
+        assert adjust_nemenyi(h) == adjust_bonferroni(h)
+        assert adjust_nemenyi(h)[0] == 0.045
 
     def test_nemenyi_small(self):
         h = nxn_hypotheses([0.01, 0.5, 0.9])
-        assert adjust_nemenyi(h).apv == pytest.approx((0.03, 1.0, 1.0))
+        assert adjust_nemenyi(h) == pytest.approx((0.03, 1.0, 1.0))
 
     def test_nemenyi_mode_mismatch(self):
         with pytest.raises(ModeMismatch):
@@ -128,44 +145,44 @@ class TestSingleStep:
 class TestStepwise:
     def test_holm_hand_stepped(self):
         h = nx1_hypotheses([0.001, 0.02, 0.03])
-        assert adjust_holm(h).apv == pytest.approx((0.003, 0.04, 0.04))
+        assert adjust_holm(h) == pytest.approx((0.003, 0.04, 0.04))
 
     def test_holm_single_hypothesis(self):
         h = nx1_hypotheses([0.2])
-        assert adjust_holm(h).apv == (0.2,)
+        assert adjust_holm(h) == (0.2,)
 
     def test_holm_all_equal(self):
         h = nx1_hypotheses([0.01] * 4)
-        assert adjust_holm(h).apv == pytest.approx((0.04,) * 4)
+        assert adjust_holm(h) == pytest.approx((0.04,) * 4)
 
     def test_holland_hand_stepped(self):
         h = nx1_hypotheses([0.01, 0.02])
-        apv = adjust_holland(h).apv
+        apv = adjust_holland(h)
         assert apv[0] == pytest.approx(1 - 0.99 ** 2)
         assert apv[1] == pytest.approx(0.02)
 
     def test_holland_zero(self):
-        assert adjust_holland(nx1_hypotheses([0.0])).apv == (0.0,)
+        assert adjust_holland(nx1_hypotheses([0.0])) == (0.0,)
 
     def test_finner_hand_stepped(self):
         h = nx1_hypotheses([0.01, 0.02])
-        apv = adjust_finner(h).apv
+        apv = adjust_finner(h)
         assert apv[0] == pytest.approx(1 - 0.99 ** 2)
         assert apv[1] == pytest.approx(0.02)
 
     def test_finner_single(self):
-        assert adjust_finner(nx1_hypotheses([0.3])).apv == pytest.approx((0.3,))
+        assert adjust_finner(nx1_hypotheses([0.3])) == pytest.approx((0.3,))
 
     def test_hochberg_hand_stepped(self):
         h = nx1_hypotheses([0.01, 0.04, 0.04])
-        assert adjust_hochberg(h).apv == pytest.approx((0.03, 0.04, 0.04))
+        assert adjust_hochberg(h) == pytest.approx((0.03, 0.04, 0.04))
 
     def test_hochberg_single(self):
-        assert adjust_hochberg(nx1_hypotheses([0.7])).apv == (0.7,)
+        assert adjust_hochberg(nx1_hypotheses([0.7])) == (0.7,)
 
     def test_results_in_caller_order(self):
         h = nx1_hypotheses([0.03, 0.001, 0.02])
-        apv = adjust_holm(h).apv
+        apv = adjust_holm(h)
         assert apv == pytest.approx((0.04, 0.003, 0.04))
 
 
@@ -182,11 +199,11 @@ class TestShaffer:
     def test_hand_stepped_n3(self):
         h = nxn_hypotheses([0.01, 0.02, 0.03])
         # t = [3, 1, 1] from S(3) = {0, 1, 3}
-        assert adjust_shaffer(h).apv == pytest.approx((0.03, 0.03, 0.03))
+        assert adjust_shaffer(h) == pytest.approx((0.03, 0.03, 0.03))
 
     def test_n2_equals_holm(self):
         h = nxn_hypotheses([0.04])
-        assert adjust_shaffer(h).apv == adjust_holm(h).apv
+        assert adjust_shaffer(h) == adjust_holm(h)
 
     def test_mode_mismatch(self):
         with pytest.raises(ModeMismatch):
@@ -227,14 +244,14 @@ class TestBergmann:
         h = nxn_hypotheses([0.5] * 10)  # n = 5
         with pytest.raises(TooManySystems):
             adjust_bergmann(h, cap=4)
-        assert adjust_bergmann(h, cap=5).apv == oracle_bergmann_apv([0.5] * 10)
+        assert adjust_bergmann(h, cap=5) == oracle_bergmann_apv([0.5] * 10)
 
     def test_apv_equals_partition_oracle_n10(self):
         rng = random.Random(10)
         pool = [0.0, 0.5, 1.0, 1e-4, 0.01]
         pvals = [rng.choice(pool) if rng.random() < 0.3 else rng.random()
                  for _ in range(45)]
-        assert adjust_bergmann(nxn_hypotheses(pvals)).apv == oracle_bergmann_apv(pvals)
+        assert adjust_bergmann(nxn_hypotheses(pvals)) == oracle_bergmann_apv(pvals)
 
     def test_cap_enforced(self):
         with pytest.raises(TooManySystems):
@@ -244,20 +261,20 @@ class TestBergmann:
     def test_acceptance_set_example_n3(self):
         h = nxn_hypotheses([0.001, 0.2, 0.3])
         result = adjust_bergmann(h)
-        rejected = result.rejected_at(0.05)
+        rejected = rejected_at(result, 0.05)
         assert rejected == [0]  # only H(S0,S1)
         # full set fails: min p = 0.001 <= 0.05 / 3
-        assert result.apv[0] == pytest.approx(0.003)
-        assert result.apv[1] == pytest.approx(0.2)
-        assert result.apv[2] == pytest.approx(0.3)
+        assert result[0] == pytest.approx(0.003)
+        assert result[1] == pytest.approx(0.2)
+        assert result[2] == pytest.approx(0.3)
 
     def test_all_ones_rejects_nothing(self):
         h = nxn_hypotheses([1.0] * 6)
-        assert adjust_bergmann(h).rejected_at(0.999) == []
+        assert rejected_at(adjust_bergmann(h), 0.999) == []
 
     def test_n2_matches_unadjusted_decision(self):
         h = nxn_hypotheses([0.04])
-        assert adjust_bergmann(h).apv == (0.04,)
+        assert adjust_bergmann(h) == (0.04,)
 
     def test_decision_matches_direct_acceptance_set(self):
         import random
@@ -272,7 +289,7 @@ class TestBergmann:
                     if ex and min(pvals[i] for i in ex) > alpha / len(ex):
                         accepted |= ex
                 direct_rejections = [i for i in range(6) if i not in accepted]
-                assert result.rejected_at(alpha) == direct_rejections
+                assert rejected_at(result, alpha) == direct_rejections
 
 
 @st.composite
@@ -285,7 +302,7 @@ def bergmann_pvals(draw):
 
 @given(bergmann_pvals())
 def test_bergmann_apv_equals_partition_oracle(pvals):
-    assert adjust_bergmann(nxn_hypotheses(pvals)).apv == oracle_bergmann_apv(pvals)
+    assert adjust_bergmann(nxn_hypotheses(pvals)) == oracle_bergmann_apv(pvals)
 
 
 pvec = st.lists(st.floats(0, 1, allow_nan=False), min_size=3, max_size=45)
@@ -297,19 +314,19 @@ def test_apv_at_least_raw_p(pvals):
     for fn in (adjust_bonferroni, adjust_holm, adjust_holland,
                adjust_finner, adjust_hochberg):
         result = fn(h)
-        for (_, p), apv in zip(h.hypotheses, result.apv):
+        for p, apv in zip(h.raw_p, result):
             assert apv >= p - 1e-12
 
 
 @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=3, max_size=3))
 def test_dominance_chain_nxn(pvals):
     h = nxn_hypotheses(pvals)
-    bonf = adjust_bonferroni(h).apv
-    holm = adjust_holm(h).apv
-    shaf = adjust_shaffer(h).apv
-    hoch = adjust_hochberg(h).apv
-    holl = adjust_holland(h).apv
-    finn = adjust_finner(h).apv
+    bonf = adjust_bonferroni(h)
+    holm = adjust_holm(h)
+    shaf = adjust_shaffer(h)
+    hoch = adjust_hochberg(h)
+    holl = adjust_holland(h)
+    finn = adjust_finner(h)
     for i in range(3):
         assert bonf[i] >= holm[i] - 1e-12
         assert holm[i] >= shaf[i] - 1e-12
@@ -325,5 +342,5 @@ def test_stepdown_apvs_nondecreasing_in_p_order():
         pvals = sorted(rng.random() for _ in range(6))
         h = nx1_hypotheses(pvals)
         for fn in (adjust_holm, adjust_holland, adjust_finner):
-            apv = fn(h).apv
+            apv = fn(h)
             assert list(apv) == sorted(apv)

@@ -132,7 +132,12 @@ class TestParserChecks:
         tsv = parse_alignment_tsv(b"  a \t b \v\n", "s")
         xml = parse_alignment_xml(
             xml_cells(b'<entity1 resource="  a "/><entity2 resource=" b&#9;"/>'), "s")
-        assert tsv.pairs == xml.pairs == {("a", "b"): 1.0}
+        # the relation is trimmed alike: a padded "=" is an equivalence in both
+        tsv_relation = parse_alignment_tsv(b"a\tb\t = \t1\n", "s")
+        xml_relation = parse_alignment_xml(xml_cells(
+            b'<entity1 resource="a"/><entity2 resource="b"/><relation> = </relation>'), "s")
+        assert (tsv.pairs == xml.pairs == tsv_relation.pairs == xml_relation.pairs
+                == {("a", "b"): 1.0})
 
     def test_rejects_empty_id_after_trim(self):
         with pytest.raises(MalformedLine) as exc:

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy.stats import binom, chi2
 
 from alignsig.errors import UndefinedStatistic
@@ -23,6 +24,53 @@ def exact_oracle(n01, n10):
     b = max(n01, n10)
     tail = sum(Fraction(math.comb(n, x), 2 ** n) for x in range(b, n + 1))
     return float(min(Fraction(1), 2 * tail))
+
+
+def fraction_oracle(n01, n10):
+    """(exact p, mid-p) through Fractions, each rounded once by float().
+
+    The tail recurrence C(n, x + 1) = C(n, x) (n - x) / (x + 1) is summed in
+    integers; the capping and the subtraction of the point probability are
+    done on Fractions.
+    """
+    n = n01 + n10
+    b = max(n01, n10)
+    c = tail = math.comb(n, b)
+    for x in range(b, n):
+        c = c * (n - x) // (x + 1)
+        tail += c
+    two_sided = min(Fraction(1), 2 * Fraction(tail, 2 ** n))
+    point = Fraction(math.comb(n, b), 2 ** n)
+    mid = min(Fraction(1), max(Fraction(0), two_sided - point))
+    return float(two_sided), float(mid)
+
+
+def _near_tie(n):
+    """A pair with |n01 - n10| <= 1, where the doubled tail is capped at 1."""
+    return st.tuples(st.just(n), st.sampled_from([n - 1, n, n + 1]))
+
+
+_DISCORDANT = st.one_of(
+    st.tuples(st.integers(0, 3000), st.integers(0, 3000)),
+    st.integers(1, 3000).flatmap(_near_tie),
+    # one count 0 and the other near 1074: p-values at and below the smallest
+    # subnormal double, 2**-1074, where rounding decides between it and 0.0
+    st.tuples(st.just(0), st.integers(1070, 1100)),
+    st.tuples(st.integers(1070, 1100), st.just(0)),
+).filter(lambda c: c != (0, 0))
+
+
+@given(_DISCORDANT)
+@example((0, 1074))
+@example((1075, 0))
+@example((0, 1076))
+@example((1, 0))
+@example((7, 7))
+@example((8, 7))
+def test_exact_and_midp_equal_the_fraction_oracle(counts):
+    exact_p, mid_p = fraction_oracle(*counts)
+    assert exact_test(*counts).p_value == exact_p
+    assert midp_test(*counts).p_value == mid_p
 
 
 class TestChiSquareSurvival:

@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 from alignsig.contingency import DiscordantMatrix, parse_matrix_tsv
 from alignsig.data import fixture_bytes
+from alignsig.mcnemar import midp_test
 from alignsig.model import ComparisonConfig, Correction, Mode, Perspective, TestKind
 from alignsig.siggraph import (
     build_graph,
@@ -15,6 +18,7 @@ from alignsig.siggraph import (
     rank_systems,
     serialize_report,
 )
+from test_fwer import partitions
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -85,6 +89,34 @@ class TestBuildGraph:
             edges = {(e.winner, e.loser) for e in g.edges}
             assert prior <= edges
             prior = edges
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bergmann_apv_of_each_pair_equals_the_partition_oracle(self, seed):
+        # system names out of sorted order; the oracle keys every p-value and
+        # exhaustive set by names, so any slip between the graph's pair order
+        # and the family's positions shows as a wrong APV
+        rng = random.Random(seed)
+        names = ["zeta", "Alpha", "mu", "beta", "Kappa", "eta"]
+        rng.shuffle(names)
+        n = len(names)
+        rows = [[0 if i == j else rng.choice([0, 0, 1, 3, 8, 15, 40, 120])
+                 for j in range(n)] for i in range(n)]
+        raw = {}
+        for i, j in itertools.combinations(range(n), 2):
+            n_i, n_j = rows[i][j], rows[j][i]
+            p = 1.0 if n_i == n_j == 0 else midp_test(n_i, n_j).p_value
+            raw[frozenset((names[i], names[j]))] = p
+        expected = dict.fromkeys(raw, 0.0)
+        for part in partitions(names):
+            within = [frozenset(pair) for cls in part for pair in itertools.combinations(cls, 2)]
+            if within:
+                bound = len(within) * min(raw[pair] for pair in within)
+                for pair in within:
+                    expected[pair] = max(expected[pair], bound)
+        outcomes = build_graph(matrix(names, rows), cfg()).outcomes
+        assert len(outcomes) == len(raw)
+        for o in outcomes:
+            assert o.apv == min(1.0, expected[frozenset((o.system_a, o.system_b))])
 
     def test_nx1_mode_limits_pairs(self, ifp_matrix):
         c = cfg(correction=Correction.HOLM, mode=Mode.NX1, baseline="AML")
