@@ -116,6 +116,8 @@ def compare(reference, alignments, matrix, perspective, test_name, correction,
 
 def _resolve_matrix(reference, alignments, matrix, persp):
     if matrix is not None:
+        if reference is not None or alignments:
+            raise click.UsageError("give either --matrix or --reference/--alignment, not both")
         return contingency.parse_matrix_tsv(matrix.read_bytes(), persp)
     if reference is None or len(alignments) < 2:
         raise click.UsageError(
@@ -149,7 +151,8 @@ def table(reference, alignments, perspective, output):
 @main.command()
 @click.option("--source", type=click.Path(exists=True, path_type=Path), required=True)
 @click.option("--target", type=click.Path(exists=True, path_type=Path), required=True)
-@click.option("--metric", required=True)
+@click.option("--metric", type=click.Choice(sorted(METRICS), case_sensitive=False),
+              required=True)
 @click.option("--threshold", type=float, default=0.0, show_default=True)
 @click.option("--name", "system_name", default=None,
               help="System name recorded in the output (default: the metric).")
@@ -157,14 +160,7 @@ def table(reference, alignments, perspective, output):
               help="Output alignment TSV path (default: stdout).")
 def match(source, target, metric, threshold, system_name, output):
     """Match two concept-label lists with a string metric + optimal assignment."""
-    kind = METRICS.get(metric.lower())
-    if kind is None:
-        click.echo(
-            f"error: unknown metric {metric!r}; choose one of "
-            f"{', '.join(sorted(METRICS))}",
-            err=True,
-        )
-        sys.exit(2)
+    kind = METRICS[metric]
     try:
         src = ingest.parse_label_list(source.read_bytes())
         tgt = ingest.parse_label_list(target.read_bytes())

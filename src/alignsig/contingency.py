@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DuplicateSystemName, MalformedLine, NegativeCount, UniverseTooSmall
 from .ingest import text_lines
-from .model import Alignment, ContingencyTable, Perspective, TaskUniverse
+from .model import Alignment, ContingencyTable, Perspective
 
 
 def _overlaps(
@@ -56,43 +56,33 @@ def _in_favor_counts(g_r: np.ndarray, g_f: np.ndarray, perspective: Perspective)
     return m
 
 
-def build_table_ifp(r: Alignment, a1: Alignment, a2: Alignment) -> ContingencyTable:
-    """2x2 table ignoring false positives; the four cells partition R."""
-    g_r, g_f, nr, _ = _overlaps(r, (a1, a2))
-    m = _in_favor_counts(g_r, g_f, Perspective.IFP)
-    n11 = int(g_r[0, 1])
-    return ContingencyTable(
-        n00=nr - int(g_r[0, 0]) - int(g_r[1, 1]) + n11,
-        n01=int(m[1, 0]),
-        n10=int(m[0, 1]),
-        n11=n11,
-        perspective=Perspective.IFP,
-    )
-
-
-def build_table_cfp(
+def build_table(
     r: Alignment,
     a1: Alignment,
     a2: Alignment,
-    t: Optional[TaskUniverse] = None,
+    perspective: Perspective,
+    total_pairs: Optional[int] = None,
 ) -> ContingencyTable:
-    """2x2 table counting relative false positives as well.
+    """The 2x2 table of a1 against a2 under the given perspective.
 
-    n11 requires the total number of candidate pairs T and is only filled in
-    when a TaskUniverse with total_pairs is supplied; the McNemar statistics
-    never need it.
+    Under IFP the four cells partition R.  CFP also puts the false
+    correspondences both systems share in n00, and fills n11 only when the
+    total number of candidate pairs T is given; the McNemar statistics never
+    need it.  A given T must cover R | A1 | A2 under either perspective.
     """
+    if total_pairs is not None and total_pairs <= 0:
+        raise ValueError("total_pairs must be positive when given")
     g_r, g_f, nr, union = _overlaps(r, (a1, a2))
-    m = _in_favor_counts(g_r, g_f, Perspective.CFP)
-    both_correct = int(g_r[0, 1])
-    n00 = nr - int(g_r[0, 0]) - int(g_r[1, 1]) + both_correct + int(g_f[0, 1])
-    n11 = None
-    if t is not None and t.total_pairs is not None:
-        if t.total_pairs < union:
-            raise UniverseTooSmall(t.total_pairs, union)
-        n11 = both_correct + t.total_pairs - union
+    if total_pairs is not None and total_pairs < union:
+        raise UniverseTooSmall(total_pairs, union)
+    m = _in_favor_counts(g_r, g_f, perspective)
+    n11 = int(g_r[0, 1])
+    n00 = nr - int(g_r[0, 0]) - int(g_r[1, 1]) + n11
+    if perspective is Perspective.CFP:
+        n00 += int(g_f[0, 1])
+        n11 = None if total_pairs is None else n11 + total_pairs - union
     return ContingencyTable(n00=n00, n01=int(m[1, 0]), n10=int(m[0, 1]), n11=n11,
-                            perspective=Perspective.CFP)
+                            perspective=perspective)
 
 
 def _require_unique(names: Sequence[str]) -> None:

@@ -10,14 +10,10 @@ class EmptySystemName(AlignsigError):
 
 
 class NonEquivalenceRelation(AlignsigError):
-    def __init__(self, source: str, target: str, relation: str):
-        self.source = source
-        self.target = target
+    def __init__(self, location: str, relation: str):
+        self.location = location
         self.relation = relation
-        super().__init__(
-            f"unsupported relation {relation!r} for ({source!r}, {target!r}); "
-            "only '=' is supported"
-        )
+        super().__init__(f"{location}: unsupported relation {relation!r}; only '=' is supported")
 
 
 class MalformedLine(AlignsigError):

@@ -18,10 +18,14 @@ from .errors import (
     DuplicateId,
     MalformedLine,
     MissingEntity,
+    NonEquivalenceRelation,
     Undecodable,
     XmlSyntax,
 )
-from .model import EQUIVALENCE, Alignment, canonicalize_alignment
+from .model import Alignment, canonicalize_alignment
+
+#: The one relation an alignment may hold.
+EQUIVALENCE = "="
 
 
 @dataclass(frozen=True)
@@ -66,8 +70,9 @@ def parse_alignment_tsv(data: bytes, system_name: str) -> Alignment:
             raise MalformedLine(line_no, "expected >=2 tab-separated fields")
         if len(fields) > 4:
             raise MalformedLine(line_no, "expected <=4 tab-separated fields")
-        source, target = fields[0], fields[1]
         relation = fields[2].strip() if len(fields) >= 3 else EQUIVALENCE
+        if relation != EQUIVALENCE:
+            raise NonEquivalenceRelation(f"line {line_no}", relation)
         if len(fields) == 4:
             try:
                 confidence = float(fields[3])
@@ -77,10 +82,10 @@ def parse_alignment_tsv(data: bytes, system_name: str) -> Alignment:
                 raise ConfidenceOutOfRange(line_no, confidence)
         else:
             confidence = 1.0
-        source, target = source.strip(), target.strip()
+        source, target = fields[0].strip(), fields[1].strip()
         if not source or not target:
             raise MalformedLine(line_no, "empty source or target")
-        out.append((source, target, relation, confidence))
+        out.append((source, target, confidence))
     return canonicalize_alignment(out, system_name)
 
 
@@ -156,7 +161,9 @@ def parse_alignment_xml(data: bytes, system_name: str) -> Alignment:
                 relation = (child.text or EQUIVALENCE).strip()
         if not entity1 or not entity2:
             raise MissingEntity(cell_index)
-        out.append((entity1, entity2, relation, measure))
+        if relation != EQUIVALENCE:
+            raise NonEquivalenceRelation(f"Cell {cell_index}", relation)
+        out.append((entity1, entity2, measure))
         cell_index += 1
     return canonicalize_alignment(out, system_name)
 

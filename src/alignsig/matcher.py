@@ -2,9 +2,10 @@
 
 Labels are normalized once (case-fold, underscore/hyphen to space, collapsed
 whitespace), a dense similarity matrix is built, and the best one-to-one
-matching is extracted with the Hungarian method.  The Levenshtein matrix comes
-from a bit-parallel kernel over all label pairs (Myers 1999; Hyyrö 2003); the
-other metrics are computed pair by pair.
+matching is extracted with the Hungarian method.  Each metric has one builder
+of the whole matrix: Levenshtein's is a bit-parallel kernel over all label
+pairs (Myers 1999; Hyyrö 2003); the other eight call their scalar function on
+each pair.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import EmptyTable
 from .ingest import LabelTable
-from .model import EQUIVALENCE, Alignment, canonicalize_alignment
+from .model import Alignment, canonicalize_alignment
 
 
 class MetricKind(Enum):
@@ -177,10 +178,6 @@ def _levenshtein_matrix(src_labels: Sequence[str], tgt_labels: Sequence[str]) ->
     return s
 
 
-def _levenshtein_pair(a: str, b: str) -> float:
-    return float(_levenshtein_matrix([a], [b])[0, 0])
-
-
 def _jaro(a: str, b: str) -> float:
     if not a and not b:
         return 1.0
@@ -318,27 +315,34 @@ def _smoa(a: str, b: str) -> float:
     return min(1.0, max(0.0, (_smoa_raw(a, b) + 1.0) / 2.0))
 
 
-_METRICS = {
-    MetricKind.EQUAL: _equal,
-    MetricKind.HAMMING: _hamming,
-    MetricKind.JARO: _jaro,
-    MetricKind.JARO_WINKLER: _jaro_winkler,
-    MetricKind.LEVENSHTEIN: _levenshtein_pair,
-    MetricKind.NGRAM: _ngram,
-    MetricKind.NEEDLEMAN_WUNSCH: _needleman_wunsch,
-    MetricKind.SMOA: _smoa,
-    MetricKind.SUBSTRING: _substring,
+def _pairwise(
+    metric: Callable[[str, str], float]
+) -> Callable[[Sequence[str], Sequence[str]], np.ndarray]:
+    """The matrix builder that calls a scalar metric on every label pair."""
+    def build(src_labels: Sequence[str], tgt_labels: Sequence[str]) -> np.ndarray:
+        return np.array([[metric(a, b) for b in tgt_labels] for a in src_labels], dtype=float)
+    return build
+
+
+#: The (source labels x target labels) matrix builder of each metric.  Every
+#: entry lies in [0, 1]; two empty labels score 1.0 and one empty label 0.0.
+_MATRICES = {
+    MetricKind.EQUAL: _pairwise(_equal),
+    MetricKind.HAMMING: _pairwise(_hamming),
+    MetricKind.JARO: _pairwise(_jaro),
+    MetricKind.JARO_WINKLER: _pairwise(_jaro_winkler),
+    MetricKind.LEVENSHTEIN: _levenshtein_matrix,
+    MetricKind.NGRAM: _pairwise(_ngram),
+    MetricKind.NEEDLEMAN_WUNSCH: _pairwise(_needleman_wunsch),
+    MetricKind.SMOA: _pairwise(_smoa),
+    MetricKind.SUBSTRING: _pairwise(_substring),
 }
 
 
 def similarity(metric: MetricKind, a: str, b: str) -> float:
-    """Similarity in [0, 1]; symmetric, and 1.0 on equal non-empty strings."""
-    if not a and not b:
-        return 1.0
-    if not a or not b:
-        return 0.0
-    value = _METRICS[metric](a, b)
-    return min(1.0, max(0.0, value))
+    """Similarity in [0, 1], the 1x1 view of the metric's matrix; symmetric,
+    and 1.0 on equal strings."""
+    return float(_MATRICES[metric]([a], [b])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -353,18 +357,11 @@ def build_similarity_matrix(
 ) -> SimilarityMatrix:
     if len(src) == 0 or len(tgt) == 0:
         raise EmptyTable("label tables must be non-empty")
-    src_norm = [(id_, normalize(label)) for id_, label in src.rows]
-    tgt_norm = [(id_, normalize(label)) for id_, label in tgt.rows]
-    if metric is MetricKind.LEVENSHTEIN:
-        s = _levenshtein_matrix([l for _, l in src_norm], [l for _, l in tgt_norm])
-    else:
-        s = np.zeros((len(src_norm), len(tgt_norm)))
-        for i, (_, la) in enumerate(src_norm):
-            for j, (_, lb) in enumerate(tgt_norm):
-                s[i, j] = similarity(metric, la, lb)
+    s = _MATRICES[metric]([normalize(label) for _, label in src.rows],
+                          [normalize(label) for _, label in tgt.rows])
     return SimilarityMatrix(
-        row_ids=tuple(id_ for id_, _ in src_norm),
-        col_ids=tuple(id_ for id_, _ in tgt_norm),
+        row_ids=tuple(id_ for id_, _ in src.rows),
+        col_ids=tuple(id_ for id_, _ in tgt.rows),
         s=s,
     )
 
@@ -383,6 +380,11 @@ def hungarian_assign(sim: SimilarityMatrix) -> List[Tuple[int, int]]:
     return sorted(zip(rows.tolist(), cols.tolist()))
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:  # NaN fails the comparison too
+        raise ValueError("threshold must lie in [0, 1]")
+
+
 def extract_alignment(
     sim: SimilarityMatrix,
     assignment: Sequence[Tuple[int, int]],
@@ -390,10 +392,9 @@ def extract_alignment(
     system_name: str,
 ) -> Alignment:
     """Keep assigned pairs with similarity >= threshold; confidence = similarity."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must lie in [0, 1]")
+    _check_threshold(threshold)
     kept = [
-        (sim.row_ids[i], sim.col_ids[j], EQUIVALENCE, float(sim.s[i, j]))
+        (sim.row_ids[i], sim.col_ids[j], float(sim.s[i, j]))
         for i, j in assignment
         if sim.s[i, j] >= threshold
     ]
@@ -408,5 +409,6 @@ def match(
     system_name: str,
 ) -> Alignment:
     """Full pipeline: similarity matrix -> assignment -> thresholded alignment."""
+    _check_threshold(threshold)  # before the matrix, which may take minutes
     sim = build_similarity_matrix(src, tgt, metric)
     return extract_alignment(sim, hungarian_assign(sim), threshold, system_name)

@@ -6,13 +6,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
-from .errors import (
-    EmptySystemName,
-    ModeMismatch,
-    NonEquivalenceRelation,
-)
-
-EQUIVALENCE = "="
+from .errors import EmptySystemName, ModeMismatch
 
 #: Most systems Bergmann's correction accepts unless the caller raises the cap:
 #: its exhaustive sets number Bell(n), and their membership matrix takes about
@@ -70,36 +64,23 @@ class Alignment:
 
 
 def canonicalize_alignment(
-    rows: List[Tuple[str, str, str, float]], system_name: str
+    rows: List[Tuple[str, str, float]], system_name: str
 ) -> Alignment:
-    """Collapse ``(source, target, relation, confidence)`` rows into an Alignment.
+    """Collapse ``(source, target, confidence)`` equivalence rows into an Alignment.
 
-    Only equivalence rows are accepted, and a key given more than once keeps
-    its highest confidence.  Ids and confidences are checked by the callers:
-    the parsers check those of their input.
+    A key given more than once keeps its highest confidence.  Ids, relations
+    and confidences are checked by the callers: the parsers check those of
+    their input.
     """
     if not system_name or not system_name.strip():
         raise EmptySystemName("system name must be non-empty")
     pairs: Dict[Tuple[str, str], float] = {}
-    for source, target, relation, confidence in rows:
-        if relation != EQUIVALENCE:
-            raise NonEquivalenceRelation(source, target, relation)
+    for source, target, confidence in rows:
         key = (source, target)
         prev = pairs.get(key)
         if prev is None or confidence > prev:
             pairs[key] = confidence
     return Alignment(system_name.strip(), pairs)
-
-
-@dataclass(frozen=True)
-class TaskUniverse:
-    """Total number of candidate correspondences T = n * m, when known."""
-
-    total_pairs: Optional[int] = None
-
-    def __post_init__(self):
-        if self.total_pairs is not None and self.total_pairs <= 0:
-            raise ValueError("total_pairs must be positive when given")
 
 
 @dataclass(frozen=True)
@@ -118,10 +99,6 @@ class ContingencyTable:
                 raise ValueError(f"{name} must be >= 0")
         if self.n11 is not None and self.n11 < 0:
             raise ValueError("n11 must be >= 0 when present")
-
-    @property
-    def discordant(self) -> tuple:
-        return (self.n01, self.n10)
 
 
 @dataclass(frozen=True)
@@ -149,3 +126,5 @@ class ComparisonConfig:
             raise ModeMismatch(self.correction.value, self.mode.value)
         if self.mode is Mode.NX1 and not self.baseline:
             raise ValueError("NX1 mode requires a baseline system name")
+        if self.mode is Mode.NXN and self.baseline is not None:
+            raise ValueError(f"baseline {self.baseline!r} applies only in NX1 mode")

@@ -14,8 +14,7 @@ import pytest
 
 from alignsig.contingency import (
     build_discordant_matrix,
-    build_table_cfp,
-    build_table_ifp,
+    build_table,
     parse_matrix_tsv,
 )
 from alignsig.data import fixture_bytes
@@ -208,17 +207,17 @@ def test_criterion_6_oracle_equivalence():
         def sample(name):
             keys = rng2.sample(universe, rng2.randint(0, 20))
             return canonicalize_alignment(
-                [(s, t, "=", 1.0) for s, t in keys], name
+                [(s, t, 1.0) for s, t in keys], name
             )
         r, a1, a2 = sample("R"), sample("A1"), sample("A2")
         R, A1, A2 = set(r.pairs), set(a1.pairs), set(a2.pairs)
-        t_ifp = build_table_ifp(r, a1, a2)
+        t_ifp = build_table(r, a1, a2, Perspective.IFP)
         counts = [0, 0, 0, 0]  # n00 n01 n10 n11
         for k in R:
             in1, in2 = k in A1, k in A2
             counts[3 if in1 and in2 else 2 if in1 else 1 if in2 else 0] += 1
         assert (t_ifp.n00, t_ifp.n01, t_ifp.n10, t_ifp.n11) == tuple(counts)
-        t_cfp = build_table_cfp(r, a1, a2)
+        t_cfp = build_table(r, a1, a2, Perspective.CFP)
         n01 = n10 = 0
         for k in R | A1 | A2:
             correct, in1, in2 = k in R, k in A1, k in A2

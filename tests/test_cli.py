@@ -77,6 +77,25 @@ class TestCompare:
         ])
         assert result.exit_code == 2
 
+    def test_baseline_outside_nx1_exits_2(self, runner):
+        result = runner.invoke(main, [
+            "compare", "--matrix", str(fixture_path("anatomy-ifp")),
+            "--mode", "nxn", "--baseline", "NOPE",
+        ])
+        assert result.exit_code == 2
+        assert "baseline 'NOPE' applies only in NX1 mode" in result.output
+
+    def test_matrix_with_alignments_exits_2(self, runner, tmp_path):
+        ref = write(tmp_path, "ref.tsv", REF)
+        a = write(tmp_path, "a.tsv", SYS_A)
+        for extra in (["--reference", ref],
+                      ["--alignment", f"S1={a}", "--alignment", f"S2={a}"]):
+            result = runner.invoke(main, [
+                "compare", "--matrix", str(fixture_path("anatomy-ifp")), *extra,
+            ])
+            assert result.exit_code == 2
+            assert "not both" in result.output
+
     def test_identical_alignments_not_significant(self, runner, tmp_path):
         ref = write(tmp_path, "ref.tsv", REF)
         a = write(tmp_path, "a.tsv", SYS_A)
@@ -312,12 +331,13 @@ class TestMatch:
     def test_identity_at_threshold_one(self, runner, tmp_path):
         src = write(tmp_path, "src.tsv", LABELS)
         tgt = write(tmp_path, "tgt.tsv", LABELS)
-        result = runner.invoke(main, [
-            "match", "--source", src, "--target", tgt,
-            "--metric", "equal", "--threshold", "1",
-        ])
-        assert result.exit_code == 0
-        assert result.output == "m1\tm1\t=\t1\nm2\tm2\t=\t1\nm3\tm3\t=\t1\n"
+        for metric in ("equal", "EQUAL", "JaroWinkler"):  # names in any case
+            result = runner.invoke(main, [
+                "match", "--source", src, "--target", tgt,
+                "--metric", metric, "--threshold", "1",
+            ])
+            assert result.exit_code == 0
+            assert result.output == "m1\tm1\t=\t1\nm2\tm2\t=\t1\nm3\tm3\t=\t1\n"
 
     def test_unknown_metric_lists_the_nine(self, runner, tmp_path):
         src = write(tmp_path, "src.tsv", LABELS)

@@ -9,21 +9,18 @@ from hypothesis import given, settings, strategies as st
 from alignsig.contingency import (
     DiscordantMatrix,
     build_discordant_matrix,
-    build_table_cfp,
-    build_table_ifp,
+    build_table,
     parse_matrix_tsv,
     write_matrix_tsv,
 )
 from alignsig.errors import DuplicateSystemName, NegativeCount, UniverseTooSmall
-from alignsig.model import (
-    Perspective,
-    TaskUniverse,
-    canonicalize_alignment,
-)
+from alignsig.model import Perspective, canonicalize_alignment
+
+IFP, CFP = Perspective.IFP, Perspective.CFP
 
 
 def align(name, keys):
-    return canonicalize_alignment([(s, t, "=", 1.0) for s, t in keys], name)
+    return canonicalize_alignment([(s, t, 1.0) for s, t in keys], name)
 
 
 def oracle_ifp(r, a1, a2):
@@ -103,21 +100,21 @@ class TestIfp:
         r = align("R", [("r1", "1"), ("r2", "2"), ("r3", "3")])
         a1 = align("A1", [("r1", "1"), ("r2", "2"), ("x", "x")])
         a2 = align("A2", [("r2", "2"), ("r3", "3")])
-        t = build_table_ifp(r, a1, a2)
+        t = build_table(r, a1, a2, IFP)
         assert (t.n00, t.n01, t.n10, t.n11) == (0, 1, 1, 1)
         assert (t.n00, t.n01, t.n10, t.n11) == oracle_ifp(r, a1, a2)
 
     def test_identical_systems_equal_to_reference(self):
         r = align("R", [("a", "1"), ("b", "2")])
-        t = build_table_ifp(r, align("A1", [("a", "1"), ("b", "2")]),
-                            align("A2", [("a", "1"), ("b", "2")]))
+        t = build_table(r, align("A1", [("a", "1"), ("b", "2")]),
+                        align("A2", [("a", "1"), ("b", "2")]), IFP)
         assert (t.n00, t.n01, t.n10, t.n11) == (0, 0, 0, 2)
 
     def test_extra_false_positives_invisible(self):
         r = align("R", [("a", "1"), ("b", "2")])
         a1 = align("A1", [("a", "1"), ("b", "2")])
         a2 = align("A2", [("a", "1"), ("b", "2"), ("junk", "junk")])
-        t = build_table_ifp(r, a1, a2)
+        t = build_table(r, a1, a2, IFP)
         assert t.n01 == t.n10 == 0
 
     def test_partition_of_reference(self):
@@ -126,7 +123,7 @@ class TestIfp:
             r = random_alignment(rng, "R", UNIVERSE, rng.randint(0, 20))
             a1 = random_alignment(rng, "A1", UNIVERSE, rng.randint(0, 20))
             a2 = random_alignment(rng, "A2", UNIVERSE, rng.randint(0, 20))
-            t = build_table_ifp(r, a1, a2)
+            t = build_table(r, a1, a2, IFP)
             assert (t.n00, t.n01, t.n10, t.n11) == oracle_ifp(r, a1, a2)
             assert t.n00 + t.n01 + t.n10 + t.n11 == len(r)
 
@@ -136,14 +133,14 @@ class TestCfp:
         r = align("R", [("r1", "1"), ("r2", "2"), ("r3", "3")])
         a1 = align("A1", [("r1", "1"), ("r2", "2"), ("x", "x")])
         a2 = align("A2", [("r2", "2"), ("r3", "3")])
-        t = build_table_cfp(r, a1, a2)
+        t = build_table(r, a1, a2, CFP)
         assert (t.n00, t.n01, t.n10, t.n11) == (0, 2, 1, None)
 
     def test_false_positives_counted_against(self):
         r = align("R", [("a", "1"), ("b", "2")])
         a1 = align("A1", [("a", "1"), ("b", "2")])
         a2 = align("A2", [("a", "1"), ("b", "2"), ("u", "u"), ("v", "v")])
-        t = build_table_cfp(r, a1, a2)
+        t = build_table(r, a1, a2, CFP)
         assert t.n01 == 0
         assert t.n10 == 2  # |B|
 
@@ -151,14 +148,14 @@ class TestCfp:
         r = align("R", [("a", "1")])
         a = align("A1", [("a", "1"), ("x", "x")])
         b = align("A2", [("a", "1"), ("x", "x")])
-        t = build_table_cfp(r, a, b)
+        t = build_table(r, a, b, CFP)
         assert t.n01 == t.n10 == 0
 
     def test_n11_with_universe(self):
         r = align("R", [("a", "1"), ("b", "2")])
         a1 = align("A1", [("a", "1")])
         a2 = align("A2", [("a", "1"), ("c", "3")])
-        t = build_table_cfp(r, a1, a2, TaskUniverse(total_pairs=10))
+        t = build_table(r, a1, a2, CFP, total_pairs=10)
         # |A1 & A2 & R| = 1, T - |R | A1 | A2| = 10 - 3
         assert t.n11 == 8
 
@@ -166,7 +163,24 @@ class TestCfp:
         r = align("R", [("a", "1"), ("b", "2")])
         a1 = align("A1", [("c", "3")])
         with pytest.raises(UniverseTooSmall):
-            build_table_cfp(r, a1, a1, TaskUniverse(total_pairs=2))
+            build_table(r, a1, a1, CFP, total_pairs=2)
+
+    @pytest.mark.parametrize("perspective", list(Perspective))
+    def test_total_pairs_checked_under_both_perspectives(self, perspective):
+        r = align("R", [("a", "1"), ("b", "2")])
+        a1 = align("A1", [("a", "1")])
+        a2 = align("A2", [("c", "3")])
+        for bad in (0, -5):
+            with pytest.raises(ValueError, match="total_pairs must be positive"):
+                build_table(r, a1, a2, perspective, total_pairs=bad)
+        with pytest.raises(UniverseTooSmall):
+            build_table(r, a1, a2, perspective, total_pairs=2)
+        # T fills n11 under CFP only; under IFP the cells partition R whatever T is
+        t3, t30 = (build_table(r, a1, a2, perspective, total_pairs=n) for n in (3, 30))
+        if perspective is IFP:
+            assert t3 == t30 == build_table(r, a1, a2, IFP)
+        else:
+            assert (t3.n11, t30.n11) == (0, 27)
 
     def test_discordant_identity_vs_ifp(self):
         rng = random.Random(11)
@@ -174,8 +188,8 @@ class TestCfp:
             r = random_alignment(rng, "R", UNIVERSE, rng.randint(0, 20))
             a1 = random_alignment(rng, "A1", UNIVERSE, rng.randint(0, 20))
             a2 = random_alignment(rng, "A2", UNIVERSE, rng.randint(0, 20))
-            cfp = build_table_cfp(r, a1, a2)
-            ifp = build_table_ifp(r, a1, a2)
+            cfp = build_table(r, a1, a2, CFP)
+            ifp = build_table(r, a1, a2, IFP)
             extra01 = len(set(a1.pairs) - set(a2.pairs) - set(r.pairs))
             extra10 = len(set(a2.pairs) - set(a1.pairs) - set(r.pairs))
             assert cfp.n01 == ifp.n01 + extra01
@@ -185,13 +199,13 @@ class TestCfp:
 
 def test_swapping_systems_swaps_discordant_cells():
     rng = random.Random(3)
-    for build in (build_table_ifp, build_table_cfp):
+    for perspective in Perspective:
         for _ in range(100):
             r = random_alignment(rng, "R", UNIVERSE, rng.randint(0, 15))
             a1 = random_alignment(rng, "A1", UNIVERSE, rng.randint(0, 15))
             a2 = random_alignment(rng, "A2", UNIVERSE, rng.randint(0, 15))
-            t12 = build(r, a1, a2)
-            t21 = build(r, a2, a1)
+            t12 = build_table(r, a1, a2, perspective)
+            t21 = build_table(r, a2, a1, perspective)
             assert (t12.n01, t12.n10) == (t21.n10, t21.n01)
             assert t12.n00 == t21.n00
 
@@ -199,8 +213,7 @@ def test_swapping_systems_swaps_discordant_cells():
 class TestDiscordantMatrix:
     def test_matrix_matches_pairwise_tables(self):
         rng = random.Random(23)
-        for persp, build in ((Perspective.IFP, build_table_ifp),
-                             (Perspective.CFP, build_table_cfp)):
+        for persp in Perspective:
             r = random_alignment(rng, "R", UNIVERSE, 15)
             systems = [random_alignment(rng, f"S{i}", UNIVERSE, rng.randint(5, 20))
                        for i in range(3)]
@@ -210,7 +223,7 @@ class TestDiscordantMatrix:
                     if i == j:
                         assert m.m[i, j] == 0
                         continue
-                    t = build(r, systems[i], systems[j])
+                    t = build_table(r, systems[i], systems[j], persp)
                     assert m.m[i, j] == t.n10
                     assert m.m[j, i] == t.n01
 
@@ -288,16 +301,16 @@ class TestOverlapKernel:
     @given(counting_tasks(), st.integers(0, 100))
     def test_tables_equal_classification_oracles(self, task, slack):
         r, (a1, a2, *_) = task
-        ifp = build_table_ifp(r, a1, a2)
+        ifp = build_table(r, a1, a2, IFP)
         assert (ifp.n00, ifp.n01, ifp.n10, ifp.n11) == oracle_ifp(r, a1, a2)
         union = len(set(r.pairs) | set(a1.pairs) | set(a2.pairs))
         total = max(union + slack, 1)
-        cfp = build_table_cfp(r, a1, a2, TaskUniverse(total_pairs=total))
+        cfp = build_table(r, a1, a2, CFP, total_pairs=total)
         assert (cfp.n00, cfp.n01, cfp.n10, cfp.n11) == oracle_cfp(r, a1, a2, total)
-        assert build_table_cfp(r, a1, a2).n11 is None
+        assert build_table(r, a1, a2, CFP).n11 is None
         if union > 1:
             with pytest.raises(UniverseTooSmall) as info:
-                build_table_cfp(r, a1, a2, TaskUniverse(total_pairs=union - 1))
+                build_table(r, a1, a2, CFP, total_pairs=union - 1)
             assert (info.value.total_pairs, info.value.needed) == (union - 1, union)
 
     @pytest.mark.parametrize("nf", BLOCK_WIDTHS)

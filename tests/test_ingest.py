@@ -11,6 +11,7 @@ from alignsig.errors import (
     DuplicateId,
     MalformedLine,
     MissingEntity,
+    NonEquivalenceRelation,
     Undecodable,
     XmlSyntax,
 )
@@ -126,7 +127,7 @@ def xml_cells(*cells: bytes) -> bytes:
 
 
 class TestParserChecks:
-    """The id and confidence checks each parser makes on its input."""
+    """The id, relation and confidence checks each parser makes on its input."""
 
     def test_ids_are_stored_trimmed(self):
         tsv = parse_alignment_tsv(b"  a \t b \v\n", "s")
@@ -155,6 +156,16 @@ class TestParserChecks:
             parse_alignment_xml(xml_cells(
                 b'<entity1 resource="a"/><entity2 resource="b"/><measure>'
                 + confidence + b"</measure>"), "s")
+
+    def test_rejects_unsupported_relation_naming_its_line_or_cell(self):
+        with pytest.raises(NonEquivalenceRelation) as exc:
+            parse_alignment_tsv(b"a\tb\t=\nc\td\t<\t0.5\n", "s")
+        assert str(exc.value) == "line 2: unsupported relation '<'; only '=' is supported"
+        with pytest.raises(NonEquivalenceRelation) as exc:
+            parse_alignment_xml(xml_cells(
+                b'<entity1 resource="a"/><entity2 resource="b"/>',
+                b'<entity1 resource="c"/><entity2 resource="d"/><relation>&gt;</relation>'), "s")
+        assert str(exc.value) == "Cell 1: unsupported relation '>'; only '=' is supported"
 
     def test_identity_ignores_confidence(self):
         tsv = parse_alignment_tsv(b"a\tb\t=\t0.1\na\tb\t=\t0.9\na\tb\t=\t0.5\n", "s")
@@ -234,15 +245,15 @@ class TestWideEncodings:
 
 class TestWriting:
     def test_minimal_confidence_digits(self):
-        a = canonicalize_alignment([("a", "b", "=", 1.0)], "s")
+        a = canonicalize_alignment([("a", "b", 1.0)], "s")
         assert write_alignment_tsv(a) == b"a\tb\t=\t1\n"
 
     def test_empty(self):
         assert write_alignment_tsv(canonicalize_alignment([], "s")) == b""
 
     def test_sorted_by_source_then_target_whatever_the_input_order(self):
-        rows = [(s, t, "=", 0.5) for s in ("b", "a", "ab") for t in ("y", "x", "B")]
-        expected = "".join(f"{s}\t{t}\t=\t0.5\n" for s, t, _, _ in sorted(rows)).encode()
+        rows = [(s, t, 0.5) for s in ("b", "a", "ab") for t in ("y", "x", "B")]
+        expected = "".join(f"{s}\t{t}\t=\t0.5\n" for s, t, _ in sorted(rows)).encode()
         for seed in range(5):
             random.Random(seed).shuffle(rows)
             assert write_alignment_tsv(canonicalize_alignment(rows, "s")) == expected
@@ -251,7 +262,6 @@ class TestWriting:
 row_strategy = st.tuples(
     st.text(alphabet="abcdef", min_size=1, max_size=6),
     st.text(alphabet="uvwxyz", min_size=1, max_size=6),
-    st.just("="),
     st.floats(0, 1, allow_nan=False),
 )
 

@@ -70,6 +70,29 @@ def oracle_matrix(src, tgt):
     )
 
 
+SCALAR_METRICS = {
+    MetricKind.EQUAL: matcher._equal,
+    MetricKind.HAMMING: matcher._hamming,
+    MetricKind.JARO: matcher._jaro,
+    MetricKind.JARO_WINKLER: matcher._jaro_winkler,
+    MetricKind.LEVENSHTEIN: scalar_levenshtein,
+    MetricKind.NGRAM: matcher._ngram,
+    MetricKind.NEEDLEMAN_WUNSCH: matcher._needleman_wunsch,
+    MetricKind.SMOA: matcher._smoa,
+    MetricKind.SUBSTRING: matcher._substring,
+}
+
+
+def pair_oracle(metric, a, b):
+    """The per-pair path the single matrix path replaced: the empty-label
+    convention, then the scalar metric clamped to [0, 1]."""
+    if not a and not b:
+        return 1.0
+    if not a or not b:
+        return 0.0
+    return min(1.0, max(0.0, SCALAR_METRICS[metric](a, b)))
+
+
 class TestNormalize:
     def test_underscores_and_case(self):
         assert normalize("Trigeminal_Nerve") == "trigeminal nerve"
@@ -157,6 +180,18 @@ class TestMetrics:
                 assert jw == pytest.approx(j)
 
 
+# short labels over a few letters, so that labels share characters, some of
+# them empty after normalization
+_SHORT_LABELS = st.lists(
+    st.sampled_from(["__", "-", " _ "]) | st.text(alphabet="abAé_- ", max_size=7),
+    min_size=1, max_size=4,
+)
+
+
+def label_table(tag, labels):
+    return LabelTable(rows=tuple((f"{tag}{i}", label) for i, label in enumerate(labels)))
+
+
 class TestSimilarityMatrix:
     def test_one_by_one_identical(self):
         src = LabelTable(rows=(("s1", "eye"),))
@@ -185,6 +220,16 @@ class TestSimilarityMatrix:
                 assert m.s[i, j] == similarity(
                     MetricKind.NGRAM, normalize(la), normalize(lb)
                 )
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    @settings(max_examples=30, deadline=None)
+    @given(_SHORT_LABELS, _SHORT_LABELS)
+    def test_entries_equal_the_pair_oracle(self, metric, src, tgt):
+        m = build_similarity_matrix(label_table("s", src), label_table("t", tgt), metric)
+        assert m.s.shape == (len(src), len(tgt))
+        for i, a in enumerate(src):
+            for j, b in enumerate(tgt):
+                assert m.s[i, j] == pair_oracle(metric, normalize(a), normalize(b))
 
     def test_empty_table_rejected(self):
         with pytest.raises(EmptyTable):
@@ -305,6 +350,15 @@ class TestExtract:
         sim = self.make()
         a = extract_alignment(sim, hungarian_assign(sim), 1.0, "m")
         assert a.pairs == {("s0", "t0"): 1.0}
+
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
+    def test_match_checks_the_threshold_before_any_work(self, monkeypatch, threshold):
+        def unreachable(*args):
+            raise AssertionError("similarity matrix built before the threshold check")
+        monkeypatch.setattr(matcher, "build_similarity_matrix", unreachable)
+        labels = label_table("s", ["eye", "ear"])
+        with pytest.raises(ValueError, match="threshold"):
+            match(labels, labels, MetricKind.SMOA, threshold, "m")
 
     def test_threshold_filters_expected_count(self):
         sim = self.make()

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from alignsig.errors import EmptySystemName, NonEquivalenceRelation
+from alignsig.errors import EmptySystemName
 from alignsig.model import (
     ComparisonConfig,
     Correction,
@@ -10,8 +10,8 @@ from alignsig.model import (
 )
 
 
-def row(s, t, rel="=", conf=1.0):
-    return (s, t, rel, conf)
+def row(s, t, conf=1.0):
+    return (s, t, conf)
 
 
 class TestCanonicalize:
@@ -24,10 +24,6 @@ class TestCanonicalize:
         a = canonicalize_alignment([], "s")
         assert len(a) == 0
 
-    def test_non_equivalence_rejected(self):
-        with pytest.raises(NonEquivalenceRelation):
-            canonicalize_alignment([row("a", "b", rel="<")], "s")
-
     def test_empty_system_name_rejected(self):
         with pytest.raises(EmptySystemName):
             canonicalize_alignment([], "  ")
@@ -36,7 +32,6 @@ class TestCanonicalize:
 row_strategy = st.tuples(
     st.text(alphabet="abc", min_size=1, max_size=3),
     st.text(alphabet="xyz", min_size=1, max_size=3),
-    st.just("="),
     st.floats(0, 1),
 )
 
@@ -44,7 +39,7 @@ row_strategy = st.tuples(
 @given(st.lists(row_strategy, max_size=50))
 def test_canonicalize_idempotent(raw):
     once = canonicalize_alignment(raw, "s")
-    twice = canonicalize_alignment([(s, t, "=", c) for (s, t), c in once.pairs.items()], "s")
+    twice = canonicalize_alignment([(s, t, c) for (s, t), c in once.pairs.items()], "s")
     assert once == twice
 
 
