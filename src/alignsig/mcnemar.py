@@ -1,20 +1,38 @@
 """The four McNemar statistics over a discordant pair (n01, n10).
 
 All tests are two-sided and symmetric in their arguments.  The exact and
-mid-p tails are exact integer sums over 2**n, for n = n01 + n10, turned into
-a float by one int / int division, which CPython rounds correctly; so they are
-the nearest doubles to the true values at every n.  Summing the tail costs
-O(n²).
+mid-p values are the nearest doubles to their true values at every n:
+
+- When the counts differ by at most 1, the doubled tail reaches 2**n, so the
+  exact p is 1 and the mid-p is (2**n - C(n, b)) / 2**n, one int / int
+  division; n = n01 + n10 and b = max(n01, n10).
+- Otherwise the point probability C(n, b) / 2**n is a product of m = n - b
+  ratios, and the tail is that point times a sum of ratio products whose terms
+  fall off like a Gaussian in their index.  Both are carried in ``_BITS``-bit
+  fixed point with a proven bound on what the rounding down lost, which gives
+  an interval holding each true p-value.  When both ends of each interval round
+  to the same double (Ziv's rounding test), that double is the correctly
+  rounded p-value: CPython rounds int / int correctly, subnormals included.
+  This costs O(m + sqrt(n * _BITS)) operations on ``_BITS``-bit integers.
+- When an interval straddles a rounding boundary, ``_exact_counts`` sums the
+  tail exactly in integers over 2**n, in O(n²), and divides once.
+
+Either way the result is the same double, so the fast path changes no bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import UndefinedStatistic
 from .model import TestKind
+
+#: Fixed-point precision of the certified tails.  Any precision gives the same
+#: doubles; a lower one only sends more pairs to ``_exact_counts``.
+_BITS = 192
 
 #: Below this discordant total the asymptotic chi-square approximation is
 #: considered unreliable and the result carries a small-sample flag.
@@ -42,16 +60,22 @@ def chi2_sf_1df(x: float) -> float:
     return math.erfc(math.sqrt(x / 2.0))
 
 
-def _check_defined(n01: int, n10: int):
+def _check_defined(n01: int, n10: int) -> Tuple[int, int]:
+    """Both counts as Python ints, so numpy integers work at any n.
+
+    A non-integer count raises TypeError.
+    """
+    n01, n10 = operator.index(n01), operator.index(n10)
     if n01 < 0 or n10 < 0:
         raise ValueError("discordant counts must be >= 0")
     if n01 == 0 and n10 == 0:
         raise UndefinedStatistic()
+    return n01, n10
 
 
 def asymptotic_test(n01: int, n10: int) -> TestResult:
     """Chi-square approximation: (n01 - n10)^2 / (n01 + n10), 1 dof."""
-    _check_defined(n01, n10)
+    n01, n10 = _check_defined(n01, n10)
     n = n01 + n10
     statistic = (n01 - n10) ** 2 / n
     return TestResult(
@@ -66,7 +90,7 @@ def asymptotic_test(n01: int, n10: int) -> TestResult:
 
 def cc_test(n01: int, n10: int) -> TestResult:
     """Edwards' continuity-corrected chi-square: (|n01 - n10| - 1)^2 / (n01 + n10)."""
-    _check_defined(n01, n10)
+    n01, n10 = _check_defined(n01, n10)
     n = n01 + n10
     statistic = (abs(n01 - n10) - 1) ** 2 / n
     return TestResult(
@@ -96,21 +120,96 @@ def _exact_counts(n01: int, n10: int) -> Tuple[int, int, int]:
     return min(2 * tail, whole), point, whole
 
 
+def _point_interval(n: int, b: int, bits: int) -> Tuple[int, int, int]:
+    """(u, u_hi, e) with u * 2**e <= C(n, b) / 2**n <= u_hi * 2**e.
+
+    C(n, b) = prod_{j=1..m} (b + j) / j for m = n - b.  The product is kept as
+    u * 2**e with u of exactly bits + 1 bits, so each step's floor loses less
+    than 2**-bits relative.  With m * 2**-bits < 1/2, the m steps together
+    lose less than 4m units of u; u_hi leaves twice that.
+    """
+    m = n - b
+    u, e = 1 << bits, -bits - n
+    for j in range(1, m + 1):
+        u = u * (b + j) // j
+        shift = u.bit_length() - bits - 1
+        u >>= shift
+        e += shift
+    return u, u + 8 * m + 8, e
+
+
+def _tail_ratio_interval(m: int, b: int, bits: int) -> Tuple[int, int]:
+    """(s, s_hi) with s <= S * 2**bits <= s_hi, for m <= b.
+
+    S = sum_{k=0..m} prod_{j<k} (m - j) / (b + j + 1) is the sum of C(n, x)
+    over x = b..n, divided by C(n, b).  Every ratio is <= 1, so the floored
+    term k is short by fewer than k units.  The terms fall off like a Gaussian
+    in k, so the loop stops after about sqrt(n * bits) steps, when a term
+    floors to 0; each of the m - K terms left after K steps is then below K
+    units.
+    """
+    t = s = 1 << bits
+    k = 0
+    while t and k < m:
+        t = t * (m - k) // (b + k + 1)
+        s += t
+        k += 1
+    return s, s + (k + 1) * (m + 2)
+
+
+def _certified_pvalues(n: int, b: int) -> Optional[Tuple[float, float]]:
+    """(exact p, mid-p) from ``_BITS``-bit fixed point, for counts 2 or more apart.
+
+    None when the intervals do not pin both doubles (Ziv's rounding test).
+    """
+    bits = _BITS
+    m = n - b
+    if m >> (bits - 1):
+        return None  # the point bound needs m * 2**-bits < 1/2
+    u, u_hi, e = _point_interval(n, b, bits)
+    s, s_hi = _tail_ratio_interval(m, b, bits)
+    # Both p-values over 2**(bits - e): exact p = 2 * C / 2**n * S and
+    # mid-p = C / 2**n * (2S - 1).  A tail that may reach the cap goes to the
+    # integer path, so neither interval needs capping.
+    whole = 1 << (bits - e)
+    two_hi = 2 * u_hi * s_hi
+    if two_hi >= whole:
+        return None
+    exact = 2 * u * s / whole
+    mid = u * (2 * s - (1 << bits)) / whole
+    if (exact != two_hi / whole
+            or mid != u_hi * (2 * s_hi - (1 << bits)) / whole):
+        return None
+    return exact, mid
+
+
+def _pvalues(n01: int, n10: int) -> Tuple[float, float]:
+    """(exact p, mid-p), each the nearest double to its true value."""
+    n = n01 + n10
+    b = max(n01, n10)
+    if abs(n01 - n10) <= 1:
+        whole = 1 << n
+        return 1.0, (whole - math.comb(n, b)) / whole
+    certified = _certified_pvalues(n, b)
+    if certified is not None:
+        return certified
+    two_sided, point, whole = _exact_counts(n01, n10)
+    return two_sided / whole, (two_sided - point) / whole
+
+
 def exact_test(n01: int, n10: int) -> TestResult:
     """Exact binomial test: the larger discordant count against Bin(n, 1/2)."""
-    _check_defined(n01, n10)
-    two_sided, _, whole = _exact_counts(n01, n10)
+    n01, n10 = _check_defined(n01, n10)
     return TestResult(
-        test_kind=TestKind.EXACT, n01=n01, n10=n10, p_value=two_sided / whole
+        test_kind=TestKind.EXACT, n01=n01, n10=n10, p_value=_pvalues(n01, n10)[0]
     )
 
 
 def midp_test(n01: int, n10: int) -> TestResult:
     """Exact two-sided p minus the point probability of the observed count."""
-    _check_defined(n01, n10)
-    two_sided, point, whole = _exact_counts(n01, n10)
+    n01, n10 = _check_defined(n01, n10)
     return TestResult(
-        test_kind=TestKind.MIDP, n01=n01, n10=n10, p_value=(two_sided - point) / whole
+        test_kind=TestKind.MIDP, n01=n01, n10=n10, p_value=_pvalues(n01, n10)[1]
     )
 
 

@@ -4,10 +4,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import binom, chi2
 
+from alignsig import mcnemar
 from alignsig.errors import UndefinedStatistic
 from alignsig.mcnemar import (
     asymptotic_test,
@@ -26,6 +28,15 @@ def exact_oracle(n01, n10):
     return float(min(Fraction(1), 2 * tail))
 
 
+def _tail_sums(n, b):
+    """C(n, b) and the sum of C(n, x) over x = b..n, by the integer recurrence."""
+    c = point = tail = math.comb(n, b)
+    for x in range(b, n):
+        c = c * (n - x) // (x + 1)
+        tail += c
+    return point, tail
+
+
 def fraction_oracle(n01, n10):
     """(exact p, mid-p) through Fractions, each rounded once by float().
 
@@ -34,14 +45,9 @@ def fraction_oracle(n01, n10):
     done on Fractions.
     """
     n = n01 + n10
-    b = max(n01, n10)
-    c = tail = math.comb(n, b)
-    for x in range(b, n):
-        c = c * (n - x) // (x + 1)
-        tail += c
+    point, tail = _tail_sums(n, max(n01, n10))
     two_sided = min(Fraction(1), 2 * Fraction(tail, 2 ** n))
-    point = Fraction(math.comb(n, b), 2 ** n)
-    mid = min(Fraction(1), max(Fraction(0), two_sided - point))
+    mid = min(Fraction(1), max(Fraction(0), two_sided - Fraction(point, 2 ** n)))
     return float(two_sided), float(mid)
 
 
@@ -71,6 +77,81 @@ def test_exact_and_midp_equal_the_fraction_oracle(counts):
     exact_p, mid_p = fraction_oracle(*counts)
     assert exact_test(*counts).p_value == exact_p
     assert midp_test(*counts).p_value == mid_p
+
+
+def _integer_path(n01, n10):
+    """(exact p, mid-p) from the exact integer tail, as before the fast path."""
+    two_sided, point, whole = mcnemar._exact_counts(n01, n10)
+    return two_sided / whole, (two_sided - point) / whole
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(16, 64), _DISCORDANT)
+@example(16, (3000, 2998))
+def test_fixed_point_intervals_hold_the_true_values(bits, counts):
+    n, b = sum(counts), max(counts)
+    point, tail = _tail_sums(n, b)
+    u, u_hi, e = mcnemar._point_interval(n, b, bits)
+    assert u * Fraction(2) ** e <= Fraction(point, 2 ** n) <= u_hi * Fraction(2) ** e
+    s, s_hi = mcnemar._tail_ratio_interval(n - b, b, bits)
+    assert s <= Fraction(tail << bits, point) <= s_hi
+
+
+def test_low_precision_gives_the_integer_path_doubles(monkeypatch):
+    # At 16-64 bits the error bounds are wide enough to straddle rounding
+    # boundaries often, so both branches run; an undersized bound would show
+    # up here as a wrong double.
+    integer_path = mcnemar._exact_counts
+    fallbacks = []
+
+    def spy(n01, n10):
+        fallbacks.append((n01, n10))
+        return integer_path(n01, n10)
+
+    monkeypatch.setattr(mcnemar, "_exact_counts", spy)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(16, 64), _DISCORDANT)
+    def check(bits, counts):
+        monkeypatch.setattr(mcnemar, "_BITS", bits)
+        two_sided, point, whole = integer_path(*counts)
+        assert exact_test(*counts).p_value == two_sided / whole
+        assert midp_test(*counts).p_value == (two_sided - point) / whole
+
+    check()
+    assert fallbacks
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        (20000, 20000),  # the larger count ahead by 0: the doubled tail capped
+        (20001, 20000),  # by 1: the doubled tail is exactly 2**n
+        (20001, 19999),  # by 2: the first uncapped pair
+        (20100, 19900),  # by about sqrt(n)
+        (19400, 20600),  # by about 6 sqrt(n)
+    ],
+)
+def test_large_n_cases_equal_the_integer_path(counts):
+    # the subnormal cases (0, 1074) and (1075, 0) are explicit examples of
+    # the fraction-oracle property above
+    exact_p, mid_p = _integer_path(*counts)
+    assert exact_test(*counts).p_value == exact_p
+    assert midp_test(*counts).p_value == mid_p
+
+
+@pytest.mark.parametrize("test", [asymptotic_test, cc_test, exact_test, midp_test])
+def test_numpy_integer_counts_give_the_python_int_result(test):
+    r = test(np.int64(40), np.int64(30))
+    assert r == test(40, 30)
+    assert type(r.n01) is int and type(r.n10) is int
+
+
+@pytest.mark.parametrize("test", [asymptotic_test, cc_test, exact_test, midp_test])
+@pytest.mark.parametrize("counts", [(2.5, 1), (1, 2.5), (3.0, 1), (1, np.float64(3))])
+def test_non_integer_counts_raise_type_error(test, counts):
+    with pytest.raises(TypeError):
+        test(*counts)
 
 
 class TestChiSquareSurvival:
@@ -139,7 +220,6 @@ class TestExact:
             )
 
     def test_large_n_accuracy(self):
-        # contract: absolute error <= 1e-12 up to n = 10000
         n01, n10 = 5100, 4900
         scipy_p = min(1.0, 2 * binom.sf(5099, 10000, 0.5))
         assert exact_test(n01, n10).p_value == pytest.approx(scipy_p, abs=1e-12)
