@@ -110,7 +110,7 @@ def compare(reference, alignments, matrix, perspective, test_name, correction,
         _write(dot_out, siggraph.emit_dot(graph))
     if report_out:
         _write(report_out, siggraph.serialize_report(siggraph.build_report(graph)))
-    for group in siggraph.rank_systems(graph).groups:
+    for group in siggraph.rank_systems(graph):
         click.echo(" & ".join(group))
 
 

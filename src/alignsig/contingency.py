@@ -13,7 +13,9 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DuplicateSystemName, MalformedLine, NegativeCount, UniverseTooSmall
+from .errors import (
+    BadSystemName, DuplicateSystemName, MalformedLine, NegativeCount, UniverseTooSmall,
+)
 from .ingest import text_lines
 from .model import Alignment, ContingencyTable, Perspective
 
@@ -85,9 +87,11 @@ def build_table(
                             perspective=perspective)
 
 
-def _require_unique(names: Sequence[str]) -> None:
+def _check_names(names: Sequence[str]) -> None:
     seen = set()
     for name in names:
+        if not name.strip() or not name.isprintable():
+            raise BadSystemName(f"system name {name!r} is blank or has an unprintable character")
         if name in seen:
             raise DuplicateSystemName(name)
         seen.add(name)
@@ -104,11 +108,11 @@ class DiscordantMatrix:
 
     def __post_init__(self):
         n = len(self.systems)
-        if self.m.shape != (n, n):
-            raise ValueError("matrix shape must match system count")
+        if n == 0 or self.m.shape != (n, n):
+            raise ValueError("matrix shape must be n x n for n >= 1 systems")
         if any(self.m[i, i] != 0 for i in range(n)):
             raise ValueError("diagonal entries must be zero")
-        _require_unique(self.systems)
+        _check_names(self.systems)
         if (self.m < 0).any():
             i, j = np.argwhere(self.m < 0)[0]
             raise NegativeCount(self.systems[i], self.systems[j], int(self.m[i, j]))
@@ -128,7 +132,7 @@ def build_discordant_matrix(
     if len(systems) < 2:
         raise ValueError("need at least 2 systems")
     names = [a.system_name for a in systems]
-    _require_unique(names)  # before the all-pairs counting, not after it
+    _check_names(names)  # before the all-pairs counting, not after it
     g_r, g_f, _, _ = _overlaps(r, systems)
     m = _in_favor_counts(g_r, g_f, perspective)
     return DiscordantMatrix(systems=tuple(names), m=m, perspective=perspective)

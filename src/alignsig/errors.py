@@ -76,6 +76,10 @@ class DuplicateSystemName(AlignsigError):
         super().__init__(f"duplicate system name {name!r}")
 
 
+class BadSystemName(AlignsigError):
+    """A blank or unprintable system name, which a matrix TSV cannot carry."""
+
+
 class NegativeCount(AlignsigError):
     def __init__(self, row: str, column: str, value: int):
         self.row = row

@@ -1,11 +1,11 @@
-"""The four McNemar statistics over a discordant pair (n01, n10).
+"""The four McNemar tests over a discordant pair (n01, n10).
 
-All tests are two-sided and symmetric in their arguments.  The exact and
-mid-p values are the nearest doubles to their true values at every n:
+Each returns its two-sided p-value, symmetric in its arguments.  The exact
+and mid-p values are the nearest doubles to their true values at every n:
 
 - When the counts differ by at most 1, the doubled tail reaches 2**n, so the
-  exact p is 1 and the mid-p is (2**n - C(n, b)) / 2**n, one int / int
-  division; n = n01 + n10 and b = max(n01, n10).
+  exact p is the constant 1 and the mid-p is (2**n - C(n, b)) / 2**n, one
+  int / int division; n = n01 + n10 and b = max(n01, n10).
 - Otherwise the point probability C(n, b) / 2**n is a product of m = n - b
   ratios, and the tail is that point times a sum of ratio products whose terms
   fall off like a Gaussian in their index.  Both are carried in ``_BITS``-bit
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import UndefinedStatistic
@@ -33,24 +32,6 @@ from .model import TestKind
 #: Fixed-point precision of the certified tails.  Any precision gives the same
 #: doubles; a lower one only sends more pairs to ``_exact_counts``.
 _BITS = 192
-
-#: Below this discordant total the asymptotic chi-square approximation is
-#: considered unreliable and the result carries a small-sample flag.
-SMALL_SAMPLE_THRESHOLD = 25
-
-
-@dataclass(frozen=True)
-class TestResult:
-    test_kind: TestKind
-    n01: int
-    n10: int
-    p_value: float
-    statistic: Optional[float] = None
-    small_sample: bool = False
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_value <= 1.0:
-            raise ValueError("p_value outside [0, 1]")
 
 
 def chi2_sf_1df(x: float) -> float:
@@ -73,33 +54,16 @@ def _check_defined(n01: int, n10: int) -> Tuple[int, int]:
     return n01, n10
 
 
-def asymptotic_test(n01: int, n10: int) -> TestResult:
+def asymptotic_test(n01: int, n10: int) -> float:
     """Chi-square approximation: (n01 - n10)^2 / (n01 + n10), 1 dof."""
     n01, n10 = _check_defined(n01, n10)
-    n = n01 + n10
-    statistic = (n01 - n10) ** 2 / n
-    return TestResult(
-        test_kind=TestKind.ASYMPTOTIC,
-        n01=n01,
-        n10=n10,
-        statistic=statistic,
-        p_value=chi2_sf_1df(statistic),
-        small_sample=n < SMALL_SAMPLE_THRESHOLD,
-    )
+    return chi2_sf_1df((n01 - n10) ** 2 / (n01 + n10))
 
 
-def cc_test(n01: int, n10: int) -> TestResult:
+def cc_test(n01: int, n10: int) -> float:
     """Edwards' continuity-corrected chi-square: (|n01 - n10| - 1)^2 / (n01 + n10)."""
     n01, n10 = _check_defined(n01, n10)
-    n = n01 + n10
-    statistic = (abs(n01 - n10) - 1) ** 2 / n
-    return TestResult(
-        test_kind=TestKind.CC,
-        n01=n01,
-        n10=n10,
-        statistic=statistic,
-        p_value=chi2_sf_1df(statistic),
-    )
+    return chi2_sf_1df((abs(n01 - n10) - 1) ** 2 / (n01 + n10))
 
 
 def _exact_counts(n01: int, n10: int) -> Tuple[int, int, int]:
@@ -197,20 +161,18 @@ def _pvalues(n01: int, n10: int) -> Tuple[float, float]:
     return two_sided / whole, (two_sided - point) / whole
 
 
-def exact_test(n01: int, n10: int) -> TestResult:
+def exact_test(n01: int, n10: int) -> float:
     """Exact binomial test: the larger discordant count against Bin(n, 1/2)."""
     n01, n10 = _check_defined(n01, n10)
-    return TestResult(
-        test_kind=TestKind.EXACT, n01=n01, n10=n10, p_value=_pvalues(n01, n10)[0]
-    )
+    if abs(n01 - n10) <= 1:
+        return 1.0  # the doubled tail reaches 2**n
+    return _pvalues(n01, n10)[0]
 
 
-def midp_test(n01: int, n10: int) -> TestResult:
+def midp_test(n01: int, n10: int) -> float:
     """Exact two-sided p minus the point probability of the observed count."""
     n01, n10 = _check_defined(n01, n10)
-    return TestResult(
-        test_kind=TestKind.MIDP, n01=n01, n10=n10, p_value=_pvalues(n01, n10)[1]
-    )
+    return _pvalues(n01, n10)[1]
 
 
 _DISPATCH = {
@@ -221,5 +183,5 @@ _DISPATCH = {
 }
 
 
-def run_test(kind: TestKind, n01: int, n10: int) -> TestResult:
+def run_test(kind: TestKind, n01: int, n10: int) -> float:
     return _DISPATCH[kind](n01, n10)

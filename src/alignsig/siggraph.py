@@ -9,10 +9,13 @@ from typing import List, Optional, Tuple
 
 from .contingency import DiscordantMatrix
 from .fwer import HypothesisSet, adjust
-from .mcnemar import SMALL_SAMPLE_THRESHOLD, run_test
-from .model import ComparisonConfig, Mode, Perspective
+from .mcnemar import run_test
+from .model import ComparisonConfig, Mode, Perspective, TestKind
 
 NO_EVIDENCE_NOTE = "no discordant correspondences; systems indistinguishable"
+
+#: Below this discordant total the asymptotic test's chi-square is unreliable.
+SMALL_SAMPLE_THRESHOLD = 25
 
 
 @dataclass(frozen=True)
@@ -25,10 +28,15 @@ class PairOutcome:
     n_b: int
     raw_p: float
     apv: float
-    significant: bool
     winner: Optional[str]
-    small_sample: bool = False
-    note: Optional[str] = None
+
+    @property
+    def significant(self) -> bool:
+        return self.winner is not None
+
+    @property
+    def note(self) -> Optional[str]:
+        return NO_EVIDENCE_NOTE if self.n_a == self.n_b == 0 else None
 
     @property
     def loser(self) -> Optional[str]:
@@ -71,13 +79,6 @@ class SignificanceGraph:
         return sum(1 for e in self.edges if e.winner == name)
 
 
-@dataclass(frozen=True)
-class RankTable:
-    """Ordered groups of mutually non-significant systems, best first."""
-
-    groups: Tuple[Tuple[str, ...], ...]
-
-
 def _pairs_for_mode(systems: Tuple[str, ...], cfg: ComparisonConfig):
     """The compared name pairs, each sorted, in fwer's positional order: pair i
     of combinations(range(n), 2) over the sorted names (N x N), or the
@@ -100,20 +101,16 @@ def pairwise_outcomes(m: DiscordantMatrix, cfg: ComparisonConfig) -> List[PairOu
     """
     pairs = _pairs_for_mode(m.systems, cfg)
     counts = [m.pair_counts(m.index(a), m.index(b)) for a, b in pairs]
-    results = [run_test(cfg.test, n_a, n_b) if n_a or n_b else None for n_a, n_b in counts]
-    raw_p = tuple(1.0 if r is None else r.p_value for r in results)
+    raw_p = tuple(run_test(cfg.test, n_a, n_b) if n_a or n_b else 1.0 for n_a, n_b in counts)
     apvs = adjust(HypothesisSet(len(m.systems), raw_p, cfg.mode), cfg.correction,
                   bergmann_cap=cfg.bergmann_cap)
     outcomes = []
-    for (a, b), (n_a, n_b), r, p, apv in zip(pairs, counts, results, raw_p, apvs):
-        significant = r is not None and n_a != n_b and apv < cfg.alpha
+    for (a, b), (n_a, n_b), p, apv in zip(pairs, counts, raw_p, apvs):
+        significant = n_a != n_b and apv < cfg.alpha
         outcomes.append(
             PairOutcome(
                 system_a=a, system_b=b, n_a=n_a, n_b=n_b, raw_p=p, apv=apv,
-                significant=significant,
                 winner=(a if n_a > n_b else b) if significant else None,
-                small_sample=r is not None and r.small_sample,
-                note=NO_EVIDENCE_NOTE if r is None else None,
             )
         )
     return outcomes
@@ -145,7 +142,7 @@ def emit_dot(g: SignificanceGraph) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def rank_systems(g: SignificanceGraph) -> RankTable:
+def rank_systems(g: SignificanceGraph) -> Tuple[Tuple[str, ...], ...]:
     """Group systems by win count and mutual non-significance.
 
     Systems are ordered by descending number of outgoing edges; adjacent
@@ -164,9 +161,7 @@ def rank_systems(g: SignificanceGraph) -> RankTable:
                 current.append(name)
                 continue
         groups.append([name])
-    return RankTable(
-        groups=tuple(tuple(sorted(grp, key=str.casefold)) for grp in groups)
-    )
+    return tuple(tuple(sorted(grp, key=str.casefold)) for grp in groups)
 
 
 def build_report(g: SignificanceGraph) -> dict:
@@ -176,7 +171,7 @@ def build_report(g: SignificanceGraph) -> dict:
         f"small discordant sample for ({o.system_a}, {o.system_b}): "
         f"{o.n_a + o.n_b} < {SMALL_SAMPLE_THRESHOLD}"
         for o in g.outcomes
-        if o.small_sample
+        if cfg.test is TestKind.ASYMPTOTIC and 0 < o.n_a + o.n_b < SMALL_SAMPLE_THRESHOLD
     )
     pair_records = []
     for o in g.outcomes:
@@ -217,7 +212,7 @@ def build_report(g: SignificanceGraph) -> dict:
                 for e in g.edges
             ],
         },
-        "ranking": [list(grp) for grp in rank_systems(g).groups],
+        "ranking": [list(grp) for grp in rank_systems(g)],
         "ranking_note": "win count + mutual non-significance heuristic",
         "warnings": warnings,
     }

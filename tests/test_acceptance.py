@@ -60,7 +60,7 @@ def test_criterion_1_ifp_fixture_ranking():
     m = load("anatomy-ifp", Perspective.IFP)
     ranks = rank_systems(build_graph(m, bergmann_cfg()))
     elapsed = time.monotonic() - start
-    assert ranks.groups == (
+    assert ranks == (
         ("AML",),
         ("CroMatcher",),
         ("LYAM", "XMap"),
@@ -79,7 +79,7 @@ def test_criterion_2_cfp_fixture_ranking():
     cfg = bergmann_cfg()
     graph = build_graph(m, cfg)
     ranks = rank_systems(graph)
-    assert ranks.groups == (
+    assert ranks == (
         ("AML",),
         ("CroMatcher",),
         ("FCA-Map", "XMap"),
@@ -126,7 +126,7 @@ def test_criterion_5_statistical_properties():
             mass = sum(
                 math.comb(n, x) / 2 ** n
                 for x in range(n + 1)
-                if exact_test(x, n - x).p_value <= alpha
+                if exact_test(x, n - x) <= alpha
             )
             assert mass <= alpha + 1e-12
     rng = random.Random(97)
@@ -134,12 +134,12 @@ def test_criterion_5_statistical_properties():
         n01, n10 = rng.randint(0, 60), rng.randint(0, 60)
         if n01 == n10 == 0:
             continue
-        assert midp_test(n01, n10).p_value <= exact_test(n01, n10).p_value
+        assert midp_test(n01, n10) <= exact_test(n01, n10)
     assert chi2_sf_1df(3.841459) == pytest.approx(0.05, abs=1e-6)
     for test in (asymptotic_test, cc_test):
         with pytest.raises(UndefinedStatistic):
             test(0, 0)
-        assert test(0, 1).p_value <= 1.0  # defined off the origin
+        assert test(0, 1) <= 1.0  # defined off the origin
     report_pass("criterion 5: type-I control, mid-p <= exact, chi2 critical value, "
                 "(0,0) undefined")
 

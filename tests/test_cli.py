@@ -133,7 +133,9 @@ class TestCompare:
         ("A\tB\nA\t0\t-1\nB\t2\t0\n", "is negative (-1)"),
         ("A\tB\nA\t0\t1\nB\t100000000000000000000000000\t0\n",
          "line 3: cell outside the 64-bit integer range"),
-    ], ids=["duplicate-name", "negative-cell", "int64-overflow"])
+        ("\tB\tC\n\t0\t1\t2\nB\t3\t0\t4\nC\t5\t6\t0\n",
+         "error: system name '' is blank"),
+    ], ids=["duplicate-name", "negative-cell", "int64-overflow", "empty-name"])
     def test_malformed_matrix_exits_2(self, runner, tmp_path, text, message):
         path = write(tmp_path, "m.tsv", text)
         result = runner.invoke(main, ["compare", "--matrix", path, "--correction", "bergmann"])
@@ -316,6 +318,21 @@ class TestTable:
         ])
         assert result.exit_code == 2
         assert "byte 3" in result.output
+
+    @pytest.mark.parametrize("name", ["A\tX", "A\nX"])
+    def test_name_the_matrix_cannot_carry_exits_2_writing_nothing(self, runner, tmp_path, name):
+        ref = write(tmp_path, "ref.tsv", REF)
+        a = write(tmp_path, "a.tsv", SYS_A)
+        out = tmp_path / "m.tsv"
+        result = runner.invoke(main, [
+            "table", "--reference", ref, "--alignment", f"{name}={a}",
+            "--alignment", f"B={a}", "--output", str(out),
+        ])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        message = f"error: system name {name!r} is blank or has an unprintable character"
+        assert message in result.output
+        assert not out.exists()
 
     def test_identical_systems_zero_matrix(self, runner, tmp_path):
         ref = write(tmp_path, "ref.tsv", REF)

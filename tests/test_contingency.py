@@ -13,7 +13,7 @@ from alignsig.contingency import (
     parse_matrix_tsv,
     write_matrix_tsv,
 )
-from alignsig.errors import DuplicateSystemName, NegativeCount, UniverseTooSmall
+from alignsig.errors import BadSystemName, DuplicateSystemName, NegativeCount, UniverseTooSmall
 from alignsig.model import Perspective, canonicalize_alignment
 
 IFP, CFP = Perspective.IFP, Perspective.CFP
@@ -253,6 +253,39 @@ class TestDiscordantMatrix:
         again = parse_matrix_tsv(write_matrix_tsv(m), Perspective.IFP)
         assert again.systems == m.systems
         assert (again.m == m.m).all()
+
+    @pytest.mark.parametrize("name", [
+        "", " ", "A\tX", "A\nX", "A\rX", "X\r", "\ufeffA", "\udcffA", "A\x00",
+    ])
+    def test_constructor_rejects_names_a_matrix_tsv_cannot_carry(self, name):
+        # a tab or line break splits the TSV, its reader drops a leading byte
+        # order mark and a final CR, and a lone surrogate cannot be encoded
+        with pytest.raises(BadSystemName):
+            DiscordantMatrix((name, "B"), np.zeros((2, 2), dtype=np.int64), IFP)
+
+    def test_constructor_rejects_a_matrix_without_systems(self):
+        with pytest.raises(ValueError):
+            DiscordantMatrix((), np.zeros((0, 0), dtype=np.int64), IFP)
+
+    @given(st.data(), st.sampled_from(list(Perspective)))
+    def test_every_accepted_matrix_survives_the_tsv(self, data, perspective):
+        names = data.draw(st.lists(
+            st.text(st.characters() | st.sampled_from("\t\n\r\ufeff \x0b\x85\u2028"),
+                    max_size=5),
+            max_size=5, unique=True))
+        n = len(names)
+        cells = data.draw(st.lists(st.integers(0, 2 ** 63 - 1), min_size=n * n, max_size=n * n))
+        m = np.array(cells, dtype=np.int64).reshape(n, n)
+        np.fill_diagonal(m, 0)
+        try:
+            matrix = DiscordantMatrix(tuple(names), m, perspective)
+        except (BadSystemName, ValueError):  # a bad name, or no systems
+            return
+        again = parse_matrix_tsv(write_matrix_tsv(matrix), perspective)
+        assert again.systems == matrix.systems
+        assert again.m.dtype == matrix.m.dtype
+        assert again.m.tolist() == matrix.m.tolist()
+        assert again.perspective is perspective
 
 
 # Widths around a byte, so that np.packbits pads the last byte of a block.

@@ -75,8 +75,8 @@ _DISCORDANT = st.one_of(
 @example((8, 7))
 def test_exact_and_midp_equal_the_fraction_oracle(counts):
     exact_p, mid_p = fraction_oracle(*counts)
-    assert exact_test(*counts).p_value == exact_p
-    assert midp_test(*counts).p_value == mid_p
+    assert exact_test(*counts) == exact_p
+    assert midp_test(*counts) == mid_p
 
 
 def _integer_path(n01, n10):
@@ -115,8 +115,8 @@ def test_low_precision_gives_the_integer_path_doubles(monkeypatch):
     def check(bits, counts):
         monkeypatch.setattr(mcnemar, "_BITS", bits)
         two_sided, point, whole = integer_path(*counts)
-        assert exact_test(*counts).p_value == two_sided / whole
-        assert midp_test(*counts).p_value == (two_sided - point) / whole
+        assert exact_test(*counts) == two_sided / whole
+        assert midp_test(*counts) == (two_sided - point) / whole
 
     check()
     assert fallbacks
@@ -136,15 +136,15 @@ def test_large_n_cases_equal_the_integer_path(counts):
     # the subnormal cases (0, 1074) and (1075, 0) are explicit examples of
     # the fraction-oracle property above
     exact_p, mid_p = _integer_path(*counts)
-    assert exact_test(*counts).p_value == exact_p
-    assert midp_test(*counts).p_value == mid_p
+    assert exact_test(*counts) == exact_p
+    assert midp_test(*counts) == mid_p
 
 
 @pytest.mark.parametrize("test", [asymptotic_test, cc_test, exact_test, midp_test])
 def test_numpy_integer_counts_give_the_python_int_result(test):
-    r = test(np.int64(40), np.int64(30))
-    assert r == test(40, 30)
-    assert type(r.n01) is int and type(r.n10) is int
+    p = test(np.int64(40), np.int64(30))
+    assert p == test(40, 30)
+    assert type(p) is float
 
 
 @pytest.mark.parametrize("test", [asymptotic_test, cc_test, exact_test, midp_test])
@@ -165,16 +165,12 @@ class TestChiSquareSurvival:
 
 class TestAsymptotic:
     def test_symmetric_counts(self):
-        r = asymptotic_test(5, 5)
-        assert r.statistic == 0
-        assert r.p_value == 1.0
-        assert r.small_sample  # 10 < 25
+        assert asymptotic_test(5, 5) == 1.0
 
     def test_large_difference(self):
-        r = asymptotic_test(62, 11)
-        assert r.statistic == pytest.approx(51 ** 2 / 73)
-        assert r.p_value == pytest.approx(2.3856805050512807e-09, rel=1e-9)
-        assert not r.small_sample
+        p = asymptotic_test(62, 11)
+        assert p == chi2_sf_1df(51 ** 2 / 73)
+        assert p == pytest.approx(2.3856805050512807e-09, rel=1e-9)
 
     def test_undefined_at_zero(self):
         with pytest.raises(UndefinedStatistic):
@@ -183,14 +179,12 @@ class TestAsymptotic:
 
 class TestContinuityCorrected:
     def test_ten_zero(self):
-        r = cc_test(10, 0)
-        assert r.statistic == pytest.approx(8.1)
-        assert r.p_value == pytest.approx(0.004426525857919834, rel=1e-10)
+        p = cc_test(10, 0)
+        assert p == chi2_sf_1df(8.1)
+        assert p == pytest.approx(0.004426525857919834, rel=1e-10)
 
     def test_difference_of_one_annihilates(self):
-        r = cc_test(6, 5)
-        assert r.statistic == 0
-        assert r.p_value == 1.0
+        assert cc_test(6, 5) == 1.0
 
     def test_undefined_at_zero(self):
         with pytest.raises(UndefinedStatistic):
@@ -199,15 +193,27 @@ class TestContinuityCorrected:
 
 class TestExact:
     def test_five_zero(self):
-        assert exact_test(5, 0).p_value == pytest.approx(0.0625)
+        assert exact_test(5, 0) == pytest.approx(0.0625)
 
     def test_two_one(self):
         # one-sided = (C(3,2) + C(3,3)) / 8 = 0.5, doubled and capped
-        assert exact_test(2, 1).p_value == 1.0
+        assert exact_test(2, 1) == 1.0
 
     @pytest.mark.parametrize("k", [1, 2, 5, 20])
     def test_symmetric_counts_cap_at_one(self, k):
-        assert exact_test(k, k).p_value == 1.0
+        assert exact_test(k, k) == 1.0
+
+    @pytest.mark.parametrize("k", [1, 20, 50000])
+    def test_counts_at_most_one_apart_never_reach_the_tails(self, k, monkeypatch):
+        # the doubled tail reaches 2**n, so the p-value is 1 without C(n, b)
+        pvalues, calls = mcnemar._pvalues, []
+        monkeypatch.setattr(mcnemar, "_pvalues",
+                            lambda *counts: calls.append(counts) or pvalues(*counts))
+        for counts in ((k, k), (k, k + 1), (k + 1, k)):
+            assert exact_test(*counts) == 1.0
+        assert calls == []
+        assert exact_test(k, k + 2) < 1.0
+        assert calls == [(k, k + 2)]
 
     def test_matches_oracle_on_random_inputs(self):
         rng = random.Random(17)
@@ -215,14 +221,14 @@ class TestExact:
             n01, n10 = rng.randint(0, 40), rng.randint(0, 40)
             if n01 == n10 == 0:
                 continue
-            assert exact_test(n01, n10).p_value == pytest.approx(
+            assert exact_test(n01, n10) == pytest.approx(
                 exact_oracle(n01, n10), abs=1e-14
             )
 
     def test_large_n_accuracy(self):
         n01, n10 = 5100, 4900
         scipy_p = min(1.0, 2 * binom.sf(5099, 10000, 0.5))
-        assert exact_test(n01, n10).p_value == pytest.approx(scipy_p, abs=1e-12)
+        assert exact_test(n01, n10) == pytest.approx(scipy_p, abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
     def test_type_i_error_control_by_enumeration(self, alpha):
@@ -230,22 +236,22 @@ class TestExact:
             rejection_mass = sum(
                 math.comb(n, x) / 2 ** n
                 for x in range(n + 1)
-                if exact_test(x, n - x).p_value <= alpha
+                if exact_test(x, n - x) <= alpha
             )
             assert rejection_mass <= alpha + 1e-12
 
 
 class TestMidP:
     def test_five_zero(self):
-        assert midp_test(5, 0).p_value == pytest.approx(0.03125)
+        assert midp_test(5, 0) == pytest.approx(0.03125)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 10])
     def test_symmetric_counts(self, k):
         expected = 1.0 - math.comb(2 * k, k) * 0.5 ** (2 * k)
-        assert midp_test(k, k).p_value == pytest.approx(expected, abs=1e-12)
+        assert midp_test(k, k) == pytest.approx(expected, abs=1e-12)
 
     def test_desk_scale(self):
-        assert midp_test(62, 11).p_value < 1e-8
+        assert midp_test(62, 11) < 1e-8
 
     def test_never_exceeds_exact_and_differs_by_point_probability(self):
         rng = random.Random(29)
@@ -254,8 +260,8 @@ class TestMidP:
             if n01 == n10 == 0:
                 continue
             n, b = n01 + n10, max(n01, n10)
-            exact_p = exact_test(n01, n10).p_value
-            mid_p = midp_test(n01, n10).p_value
+            exact_p = exact_test(n01, n10)
+            mid_p = midp_test(n01, n10)
             assert mid_p <= exact_p
             point = math.comb(n, b) / 2 ** n
             assert exact_p - mid_p == pytest.approx(point, abs=1e-12)
@@ -272,7 +278,7 @@ def test_every_test_symmetric_in_arguments():
             a, b = rng.randint(0, 30), rng.randint(0, 30)
             if a == b == 0:
                 continue
-            assert test(a, b).p_value == test(b, a).p_value
+            assert test(a, b) == test(b, a)
 
 
 def test_asymptotic_close_to_exact_for_large_balanced_samples():
@@ -290,7 +296,7 @@ def test_asymptotic_close_to_exact_for_large_balanced_samples():
             # at exact ties the capped two-sided definition pins mid-p at
             # 1 - point probability while the asymptotic p is exactly 1
             continue
-        p_asym = asymptotic_test(n01, n10).p_value
-        assert abs(p_asym - midp_test(n01, n10).p_value) <= 0.01
+        p_asym = asymptotic_test(n01, n10)
+        assert abs(p_asym - midp_test(n01, n10)) <= 0.01
         # point probability at n = 100 is ~0.08, bounding the exact-test gap
-        assert abs(p_asym - exact_test(n01, n10).p_value) <= 0.09
+        assert abs(p_asym - exact_test(n01, n10)) <= 0.09

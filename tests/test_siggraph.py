@@ -104,7 +104,7 @@ class TestBuildGraph:
         raw = {}
         for i, j in itertools.combinations(range(n), 2):
             n_i, n_j = rows[i][j], rows[j][i]
-            p = 1.0 if n_i == n_j == 0 else midp_test(n_i, n_j).p_value
+            p = 1.0 if n_i == n_j == 0 else midp_test(n_i, n_j)
             raw[frozenset((names[i], names[j]))] = p
         expected = dict.fromkeys(raw, 0.0)
         for part in partitions(names):
@@ -153,7 +153,7 @@ class TestEmitDot:
 class TestRanking:
     def test_ifp_fixture_groups(self, ifp_matrix):
         ranks = rank_systems(build_graph(ifp_matrix, cfg()))
-        assert ranks.groups == (
+        assert ranks == (
             ("AML",),
             ("CroMatcher",),
             ("LYAM", "XMap"),
@@ -167,17 +167,17 @@ class TestRanking:
     def test_cfp_fixture_groups(self):
         m = parse_matrix_tsv(fixture_bytes("anatomy-cfp"), Perspective.CFP)
         ranks = rank_systems(build_graph(m, cfg()))
-        assert ("FCA-Map", "XMap") in ranks.groups
-        assert ("Lily", "LogMapLite") in ranks.groups
+        assert ("FCA-Map", "XMap") in ranks
+        assert ("Lily", "LogMapLite") in ranks
 
     def test_empty_graph_single_group(self):
         m = matrix(["A", "B", "C"], [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         ranks = rank_systems(build_graph(m, cfg(correction=Correction.NONE)))
-        assert ranks.groups == (("A", "B", "C"),)
+        assert ranks == (("A", "B", "C"),)
 
     def test_connected_systems_never_share_group(self, ifp_matrix):
         g = build_graph(ifp_matrix, cfg())
-        for group in rank_systems(g).groups:
+        for group in rank_systems(g):
             for a in group:
                 for b in group:
                     if a != b:
@@ -197,7 +197,7 @@ class TestReport:
         golden = (GOLDEN / "anatomy_ifp_bergmann.json").read_bytes()
         assert emit_dot(g) == (GOLDEN / "anatomy_ifp_bergmann.dot").read_bytes()
         assert serialize_report(build_report(g)) == golden
-        ranking = [list(group) for group in rank_systems(g).groups]
+        ranking = [list(group) for group in rank_systems(g)]
         assert ranking == json.loads(golden)["ranking"]
 
     def test_cfp_matrix_with_default_config_echoes_cfp(self):
@@ -217,6 +217,18 @@ class TestReport:
             "systems", "n_i", "n_j", "test", "raw_p", "apv", "significant", "winner",
         }
         assert report["pairs"] == sorted(report["pairs"], key=lambda r: r["systems"])
+
+    @pytest.mark.parametrize("test", list(TestKind))
+    def test_small_sample_warnings_only_under_the_asymptotic_test(self, test):
+        # pair totals: A-B 5 + 5, A-C 62 + 11, A-D 0 + 0, B-C 20 + 4, B-D 25 + 0, C-D 1 + 0
+        rows = [[0, 5, 62, 0], [5, 0, 20, 25], [11, 4, 0, 0], [0, 0, 1, 0]]
+        report = build_report(build_graph(matrix("ABCD", rows), cfg(test=test)))
+        expected = [
+            "small discordant sample for (A, B): 10 < 25",
+            "small discordant sample for (B, C): 24 < 25",
+            "small discordant sample for (C, D): 1 < 25",
+        ]
+        assert report["warnings"] == (expected if test is TestKind.ASYMPTOTIC else [])
 
     def test_downstream_ignores_n11(self):
         # same discordant counts -> same report, regardless of perspective metadata
