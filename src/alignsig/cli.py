@@ -11,15 +11,17 @@ from pathlib import Path
 
 import click
 
-from . import contingency, ingest, matcher, siggraph
+from . import contingency, ingest, siggraph
 from .errors import AlignsigError
-from .model import Alignment, ComparisonConfig, Correction, Mode, Perspective, TestKind
+from .model import (
+    Alignment, ComparisonConfig, Correction, MetricKind, Mode, Perspective, TestKind,
+)
 
 PERSPECTIVES = {p.value: p for p in Perspective}
 TESTS = {t.value: t for t in TestKind}
 CORRECTIONS = {c.value: c for c in Correction}
 MODES = {m.value: m for m in Mode}
-METRICS = {m.value: m for m in matcher.MetricKind}
+METRICS = {m.value: m for m in MetricKind}
 
 #: What a bad input file or option value raises; each ends as exit code 2.
 #: OSError covers a missing path, a directory and an unreadable file.
@@ -160,6 +162,8 @@ def table(reference, alignments, perspective, output):
               help="Output alignment TSV path (default: stdout).")
 def match(source, target, metric, threshold, system_name, output):
     """Match two concept-label lists with a string metric + optimal assignment."""
+    from . import matcher  # numpy, and scipy's solver, load only for matching
+
     kind = METRICS[metric]
     try:
         src = ingest.parse_label_list(source.read_bytes())

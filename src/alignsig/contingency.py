@@ -8,16 +8,22 @@ system that invents mappings is penalized.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from .errors import (
     BadSystemName, DuplicateSystemName, MalformedLine, NegativeCount, UniverseTooSmall,
 )
 from .ingest import text_lines
 from .model import Alignment, ContingencyTable, Perspective
+
+if TYPE_CHECKING:
+    import numpy as np
+
+#: The cell range a matrix holds, so that every one survives its TSV: that of
+#: a signed 64-bit integer.
+_INT64 = range(-(1 << 63), 1 << 63)
 
 
 def _overlaps(
@@ -32,6 +38,8 @@ def _overlaps(
     of the rows' AND.  Returns ``(g_r, g_f, nr, nids)``, where
     ``nids = |R | A1 | ... | An|``.
     """
+    import numpy as np  # only counting builds arrays
+
     ids: Dict[tuple, int] = {key: i for i, key in enumerate(r.pairs)}
     nr = len(ids)
     rows = [np.fromiter((ids.setdefault(key, len(ids)) for key in a.pairs),
@@ -45,6 +53,8 @@ def _overlaps(
 
 def _gram(block: np.ndarray) -> np.ndarray:
     """``g[i, j]`` = number of columns where rows i and j of ``block`` are both set."""
+    import numpy as np
+
     packed = np.packbits(block, axis=1)  # zero padding never adds to a popcount
     return np.stack([np.bitwise_count(row & packed).sum(axis=1, dtype=np.int64)
                      for row in packed])
@@ -52,9 +62,9 @@ def _gram(block: np.ndarray) -> np.ndarray:
 
 def _in_favor_counts(g_r: np.ndarray, g_f: np.ndarray, perspective: Perspective) -> np.ndarray:
     """``m[i, j] = |(Ai & R) - Aj|``, plus ``|Aj - Ai - R|`` under CFP."""
-    m = np.diag(g_r)[:, None] - g_r
+    m = g_r.diagonal()[:, None] - g_r
     if perspective is Perspective.CFP:
-        m += np.diag(g_f)[None, :] - g_f
+        m += g_f.diagonal()[None, :] - g_f
     return m
 
 
@@ -100,29 +110,40 @@ def _check_names(names: Sequence[str]) -> None:
 @dataclass(frozen=True)
 class DiscordantMatrix:
     """All-pairs in-favor counts: m[i][j] = correspondences counted for system i
-    against system j under the given perspective."""
+    against system j under the given perspective.
+
+    ``m`` may be given as any n x n nested sequence or integer array; it is
+    stored as a tuple of tuples of Python ints.  A non-integer cell raises
+    TypeError, and a cell beyond the signed 64-bit range ValueError.
+    """
 
     systems: Tuple[str, ...]
-    m: np.ndarray
+    m: Tuple[Tuple[int, ...], ...]
     perspective: Perspective
 
     def __post_init__(self):
         n = len(self.systems)
-        if n == 0 or self.m.shape != (n, n):
+        if n == 0 or len(self.m) != n or any(len(row) != n for row in self.m):
             raise ValueError("matrix shape must be n x n for n >= 1 systems")
-        if any(self.m[i, i] != 0 for i in range(n)):
+        m = tuple(tuple(map(operator.index, row)) for row in self.m)
+        object.__setattr__(self, "m", m)
+        if any(m[i][i] != 0 for i in range(n)):
             raise ValueError("diagonal entries must be zero")
         _check_names(self.systems)
-        if (self.m < 0).any():
-            i, j = np.argwhere(self.m < 0)[0]
-            raise NegativeCount(self.systems[i], self.systems[j], int(self.m[i, j]))
+        for i, row in enumerate(m):
+            for j, value in enumerate(row):
+                if value < 0:
+                    raise NegativeCount(self.systems[i], self.systems[j], value)
+                if value not in _INT64:
+                    raise ValueError(f"cell {self.systems[i]!r}, {self.systems[j]!r} "
+                                     "is outside the 64-bit integer range")
 
     def index(self, name: str) -> int:
         return self.systems.index(name)
 
     def pair_counts(self, i: int, j: int) -> Tuple[int, int]:
         """In-favor counts (for i, for j)."""
-        return int(self.m[i, j]), int(self.m[j, i])
+        return self.m[i][j], self.m[j][i]
 
 
 def build_discordant_matrix(
@@ -135,14 +156,14 @@ def build_discordant_matrix(
     _check_names(names)  # before the all-pairs counting, not after it
     g_r, g_f, _, _ = _overlaps(r, systems)
     m = _in_favor_counts(g_r, g_f, perspective)
-    return DiscordantMatrix(systems=tuple(names), m=m, perspective=perspective)
+    return DiscordantMatrix(systems=tuple(names), m=m.tolist(), perspective=perspective)
 
 
 def write_matrix_tsv(matrix: DiscordantMatrix) -> bytes:
     """First row: system names; then one row per system: name + integer cells."""
     lines = ["\t".join(matrix.systems) + "\n"]
     for i, name in enumerate(matrix.systems):
-        cells = "\t".join(str(int(v)) for v in matrix.m[i])
+        cells = "\t".join(map(str, matrix.m[i]))
         lines.append(f"{name}\t{cells}\n")
     return "".join(lines).encode("utf-8")
 
@@ -156,7 +177,7 @@ def parse_matrix_tsv(data: bytes, perspective: Perspective) -> DiscordantMatrix:
     n = len(names)
     if len(lines) != n + 1:
         raise MalformedLine(lines[-1][0], f"expected {n} data rows, got {len(lines) - 1}")
-    m = np.zeros((n, n), dtype=np.int64)
+    m = []
     for row, (line_no, line) in enumerate(lines[1:]):
         fields = line.split("\t")
         if len(fields) != n + 1:
@@ -164,9 +185,10 @@ def parse_matrix_tsv(data: bytes, perspective: Perspective) -> DiscordantMatrix:
         if fields[0] != names[row]:
             raise MalformedLine(line_no, "row names do not match header order")
         try:
-            m[row] = [int(v) for v in fields[1:]]
+            cells = [int(v) for v in fields[1:]]
         except ValueError:
             raise MalformedLine(line_no, "non-integer cell")
-        except OverflowError:
+        if not all(v in _INT64 for v in cells):
             raise MalformedLine(line_no, "cell outside the 64-bit integer range")
+        m.append(cells)
     return DiscordantMatrix(systems=tuple(names), m=m, perspective=perspective)

@@ -13,12 +13,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, FrozenSet, List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, FrozenSet, List, Sequence, Tuple
 
 from .errors import ModeMismatch, TooManySystems
 from .model import DEFAULT_BERGMANN_CAP, Correction, Mode
+
+if TYPE_CHECKING:
+    import numpy as np
 
 APV = Tuple[float, ...]
 
@@ -152,6 +153,8 @@ def _restricted_growth_strings(n_systems: int) -> np.ndarray:
     unique.  Built one column at a time: a row whose labels reach m has m + 2
     children (join one of the m + 1 classes, or open a new one).
     """
+    import numpy as np  # only Bergmann's exhaustive sets are arrays
+
     rows = np.zeros((1, 1), dtype=np.int8)
     top = np.zeros(1, dtype=np.int8)
     for _ in range(1, n_systems):
@@ -175,9 +178,9 @@ def _membership(n_systems: int) -> np.ndarray:
     contiguous.  Cached per n for the life of the process.
     """
     labels = _restricted_growth_strings(n_systems)
-    a, b = np.array(list(itertools.combinations(range(n_systems), 2))).T
+    a, b = zip(*itertools.combinations(range(n_systems), 2))
     member = labels[:, a] == labels[:, b]
-    member = np.asfortranarray(member[member.any(axis=1)])
+    member = member[member.any(axis=1)].copy(order="F")
     member.flags.writeable = False
     return member
 
@@ -200,7 +203,7 @@ def bergmann_exhaustive_sets(
     the within-class pairs.  Transitivity makes these the only possibilities.
     """
     member = _exhaustive_membership(n_systems, cap)
-    sets = [frozenset()] + [frozenset(np.flatnonzero(row).tolist()) for row in member]
+    sets = [frozenset()] + [frozenset(row.nonzero()[0].tolist()) for row in member]
     return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
 
@@ -218,6 +221,8 @@ def adjust_bergmann(h: HypothesisSet, cap: int = DEFAULT_BERGMANN_CAP) -> APV:
     bound_r).  The minimum is the p-value of each row's first member in
     ascending-p column order, so no float matrix of the sets' size is built.
     """
+    import numpy as np
+
     _require_nxn(h, Correction.BERGMANN)
     member = _exhaustive_membership(h.n_systems, cap)
     p = np.asarray(h.raw_p, dtype=float)

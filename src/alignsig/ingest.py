@@ -8,7 +8,6 @@ tools emit (``Cell`` elements with ``entity1``/``entity2`` resources).
 from __future__ import annotations
 
 import codecs
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -132,6 +131,8 @@ def _xml_document(data: bytes) -> bytes | str:
 
 def parse_alignment_xml(data: bytes, system_name: str) -> Alignment:
     """Parse the Alignment-format subset: Cell/entity1/entity2/measure/relation."""
+    import xml.etree.ElementTree as ET  # only alignment files are XML
+
     document = _xml_document(data)
     try:
         root = ET.fromstring(document)

@@ -12,26 +12,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import EmptyTable
 from .ingest import LabelTable
-from .model import Alignment, canonicalize_alignment
-
-
-class MetricKind(Enum):
-    EQUAL = "equal"
-    HAMMING = "hamming"
-    JARO = "jaro"
-    JARO_WINKLER = "jarowinkler"
-    LEVENSHTEIN = "levenshtein"
-    NGRAM = "ngram"
-    NEEDLEMAN_WUNSCH = "needlemanwunsch"
-    SMOA = "smoa"
-    SUBSTRING = "substring"
+from .model import Alignment, MetricKind, canonicalize_alignment  # MetricKind re-exported
 
 
 _WHITESPACE = re.compile(r"\s+")

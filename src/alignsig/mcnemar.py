@@ -1,21 +1,23 @@
 """The four McNemar tests over a discordant pair (n01, n10).
 
 Each returns its two-sided p-value, symmetric in its arguments.  The exact
-and mid-p values are the nearest doubles to their true values at every n:
+and mid-p values are the nearest doubles to their true values at every n.
+With n = n01 + n10, b = max(n01, n10) and m = n - b:
 
-- When the counts differ by at most 1, the doubled tail reaches 2**n, so the
-  exact p is the constant 1 and the mid-p is (2**n - C(n, b)) / 2**n, one
-  int / int division; n = n01 + n10 and b = max(n01, n10).
-- Otherwise the point probability C(n, b) / 2**n is a product of m = n - b
-  ratios, and the tail is that point times a sum of ratio products whose terms
-  fall off like a Gaussian in their index.  Both are carried in ``_BITS``-bit
-  fixed point with a proven bound on what the rounding down lost, which gives
-  an interval holding each true p-value.  When both ends of each interval round
-  to the same double (Ziv's rounding test), that double is the correctly
-  rounded p-value: CPython rounds int / int correctly, subnormals included.
-  This costs O(m + sqrt(n * _BITS)) operations on ``_BITS``-bit integers.
-- When an interval straddles a rounding boundary, ``_exact_counts`` sums the
-  tail exactly in integers over 2**n, in O(n²), and divides once.
+- The point probability C(n, b) / 2**n is a product of m ratios, taken in
+  blocks of ``_BLOCK`` ratios with ``math.perm``.  When the counts differ by
+  at most 1, the doubled tail reaches 2**n, so the exact p is the constant 1
+  and the mid-p is 1 minus the point.  Otherwise the tail is that point times
+  a sum of ratio products whose terms fall off like a Gaussian in their index.
+- Both are carried in ``_BITS``-bit fixed point with a proven bound on what
+  the rounding down lost, which gives an interval holding each true p-value.
+  When both ends of each interval round to the same double (Ziv's rounding
+  test), that double is the correctly rounded p-value: CPython rounds
+  int / int correctly, subnormals included.  This costs about m / ``_BLOCK``
+  big-integer blocks plus O(sqrt(n * _BITS)) operations on ``_BITS``-bit
+  integers.
+- When an interval straddles a rounding boundary, ``_exact_counts`` decides:
+  it sums the tail exactly in integers over 2**n, in O(n²), and divides once.
 
 Either way the result is the same double, so the fast path changes no bit.
 """
@@ -30,8 +32,11 @@ from .errors import UndefinedStatistic
 from .model import TestKind
 
 #: Fixed-point precision of the certified tails.  Any precision gives the same
-#: doubles; a lower one only sends more pairs to ``_exact_counts``.
+#: doubles; a lower one only sends more pairs to the integer path.
 _BITS = 192
+
+#: Ratios of the point probability multiplied in per ``math.perm`` block.
+_BLOCK = 64
 
 
 def chi2_sf_1df(x: float) -> float:
@@ -87,15 +92,20 @@ def _exact_counts(n01: int, n10: int) -> Tuple[int, int, int]:
 def _point_interval(n: int, b: int, bits: int) -> Tuple[int, int, int]:
     """(u, u_hi, e) with u * 2**e <= C(n, b) / 2**n <= u_hi * 2**e.
 
-    C(n, b) = prod_{j=1..m} (b + j) / j for m = n - b.  The product is kept as
-    u * 2**e with u of exactly bits + 1 bits, so each step's floor loses less
-    than 2**-bits relative.  With m * 2**-bits < 1/2, the m steps together
-    lose less than 4m units of u; u_hi leaves twice that.
+    C(n, b) = prod_{j=1..m} (b + j) / j for m = n - b.  The product is taken
+    in K = ceil(m / _BLOCK) blocks, each the ratio of two falling factorials
+    of g <= _BLOCK factors.  It is kept as u * 2**e with u of exactly bits + 1
+    bits.  A block floors twice, once in the division and once in the
+    renormalising shift, and both results are at least 2**bits, so each floor
+    loses less than 2**-bits relative.  With K * 2**(1 - bits) <= 1/2, which
+    m < 2**(bits - 1) ensures, the K blocks together lose less than 8K units
+    of u; u_hi allows 8m + 8 >= 8K.
     """
     m = n - b
     u, e = 1 << bits, -bits - n
-    for j in range(1, m + 1):
-        u = u * (b + j) // j
+    for j in range(1, m + 1, _BLOCK):
+        g = min(_BLOCK, m + 1 - j)
+        u = u * math.perm(b + j + g - 1, g) // math.perm(j + g - 1, g)
         shift = u.bit_length() - bits - 1
         u >>= shift
         e += shift
@@ -122,15 +132,20 @@ def _tail_ratio_interval(m: int, b: int, bits: int) -> Tuple[int, int]:
 
 
 def _certified_pvalues(n: int, b: int) -> Optional[Tuple[float, float]]:
-    """(exact p, mid-p) from ``_BITS``-bit fixed point, for counts 2 or more apart.
+    """(exact p, mid-p) from ``_BITS``-bit fixed point.
 
     None when the intervals do not pin both doubles (Ziv's rounding test).
     """
     bits = _BITS
     m = n - b
     if m >> (bits - 1):
-        return None  # the point bound needs m * 2**-bits < 1/2
+        return None  # the point bound needs K * 2**(1 - bits) <= 1/2
     u, u_hi, e = _point_interval(n, b, bits)
+    if b - m <= 1:
+        # counts 0 or 1 apart: exact p = 1 and mid-p = 1 - C / 2**n, over 2**-e
+        whole = 1 << -e
+        mid = (whole - u_hi) / whole
+        return (1.0, mid) if mid == (whole - u) / whole else None
     s, s_hi = _tail_ratio_interval(m, b, bits)
     # Both p-values over 2**(bits - e): exact p = 2 * C / 2**n * S and
     # mid-p = C / 2**n * (2S - 1).  A tail that may reach the cap goes to the
@@ -151,9 +166,6 @@ def _pvalues(n01: int, n10: int) -> Tuple[float, float]:
     """(exact p, mid-p), each the nearest double to its true value."""
     n = n01 + n10
     b = max(n01, n10)
-    if abs(n01 - n10) <= 1:
-        whole = 1 << n
-        return 1.0, (whole - math.comb(n, b)) / whole
     certified = _certified_pvalues(n, b)
     if certified is not None:
         return certified

@@ -38,6 +38,18 @@ class Correction(Enum):
     BERGMANN = "bergmann"
 
 
+class MetricKind(Enum):
+    EQUAL = "equal"
+    HAMMING = "hamming"
+    JARO = "jaro"
+    JARO_WINKLER = "jarowinkler"
+    LEVENSHTEIN = "levenshtein"
+    NGRAM = "ngram"
+    NEEDLEMAN_WUNSCH = "needlemanwunsch"
+    SMOA = "smoa"
+    SUBSTRING = "substring"
+
+
 class Mode(Enum):
     NXN = "nxn"
     NX1 = "nx1"

@@ -432,15 +432,47 @@ def test_outputs_byte_identical_across_runs(runner, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # scipy serves only `match`; loading it would slow every other command
+#: Modules that only some commands need; each costs start-up time when loaded.
+HEAVY_MODULES = ("numpy", "scipy", "xml.etree.ElementTree")
+
+#: Runs the CLI on its arguments, then prints the heavy modules it loaded to stderr.
+FRESH_CLI = f"""
+import sys
+from alignsig.cli import main
+try:
+    main.main(args=sys.argv[1:], prog_name="alignsig")
+finally:
+    print([m for m in {HEAVY_MODULES!r} if m in sys.modules], file=sys.stderr)
+"""
+
+
+def run_fresh(*args):
+    """(exit code, heavy modules loaded) of the CLI in a fresh interpreter."""
     src = str(Path(alignsig.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    loaded = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, alignsig.cli; print(sorted(m for m in sys.modules"
-         " if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout
-    assert loaded == "[]\n"
+    done = subprocess.run([sys.executable, "-c", FRESH_CLI, *args],
+                          env=env, capture_output=True, text=True)
+    return done.returncode, done.stderr.splitlines()[-1]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy serves only `match`, numpy only counting, Bergmann and `match`,
+    # and xml.etree only XML alignments; loading them would slow every command
+    assert run_fresh("--help") == (0, "[]")
+
+
+@pytest.mark.parametrize("correction", ["holm", "shaffer"])
+def test_matrix_compare_loads_no_numpy(correction):
+    matrix = str(fixture_path("anatomy-ifp"))
+    assert run_fresh("compare", "--matrix", matrix, "--correction", correction) == (0, "[]")
+
+
+def test_bergmann_and_match_load_numpy_where_they_need_it(tmp_path):
+    matrix = str(fixture_path("anatomy-ifp"))
+    code, loaded = run_fresh("compare", "--matrix", matrix, "--correction", "bergmann")
+    assert (code, loaded) == (0, "['numpy']")
+    labels = write(tmp_path, "labels.tsv", LABELS)
+    code, loaded = run_fresh("match", "--source", labels, "--target", labels,
+                             "--metric", "levenshtein")
+    assert (code, loaded) == (0, "['numpy', 'scipy']")

@@ -13,7 +13,9 @@ from alignsig.contingency import (
     parse_matrix_tsv,
     write_matrix_tsv,
 )
-from alignsig.errors import BadSystemName, DuplicateSystemName, NegativeCount, UniverseTooSmall
+from alignsig.errors import (
+    BadSystemName, DuplicateSystemName, MalformedLine, NegativeCount, UniverseTooSmall,
+)
 from alignsig.model import Perspective, canonicalize_alignment
 
 IFP, CFP = Perspective.IFP, Perspective.CFP
@@ -84,8 +86,8 @@ def set_in_favor(r, ai, aj, perspective):
 
 def set_matrix(r, systems, perspective):
     n = len(systems)
-    return np.array([[0 if i == j else set_in_favor(r, systems[i], systems[j], perspective)
-                      for j in range(n)] for i in range(n)], dtype=np.int64)
+    return tuple(tuple(0 if i == j else set_in_favor(r, systems[i], systems[j], perspective)
+                       for j in range(n)) for i in range(n))
 
 
 def random_alignment(rng, name, universe, size):
@@ -221,17 +223,17 @@ class TestDiscordantMatrix:
             for i in range(3):
                 for j in range(3):
                     if i == j:
-                        assert m.m[i, j] == 0
+                        assert m.m[i][j] == 0
                         continue
                     t = build_table(r, systems[i], systems[j], persp)
-                    assert m.m[i, j] == t.n10
-                    assert m.m[j, i] == t.n01
+                    assert m.m[i][j] == t.n10
+                    assert m.m[j][i] == t.n01
 
     def test_identical_systems_all_zero(self):
         r = align("R", [("a", "1")])
         s = [align("S1", [("a", "1")]), align("S2", [("a", "1")])]
         m = build_discordant_matrix(r, s, Perspective.IFP)
-        assert not m.m.any()
+        assert m.m == ((0, 0), (0, 0))
 
     def test_duplicate_names_rejected(self):
         r = align("R", [("a", "1")])
@@ -251,8 +253,7 @@ class TestDiscordantMatrix:
         systems = [random_alignment(rng, f"S{i}", UNIVERSE, 10) for i in range(4)]
         m = build_discordant_matrix(r, systems, Perspective.IFP)
         again = parse_matrix_tsv(write_matrix_tsv(m), Perspective.IFP)
-        assert again.systems == m.systems
-        assert (again.m == m.m).all()
+        assert again == m
 
     @pytest.mark.parametrize("name", [
         "", " ", "A\tX", "A\nX", "A\rX", "X\r", "\ufeffA", "\udcffA", "A\x00",
@@ -267,6 +268,41 @@ class TestDiscordantMatrix:
         with pytest.raises(ValueError):
             DiscordantMatrix((), np.zeros((0, 0), dtype=np.int64), IFP)
 
+    @pytest.mark.parametrize("cells", [
+        [[0, 2.5], [40.7, 0]],
+        [[0, 2], [40.0, 0]],
+        np.array([[0, 2.5], [40.7, 0]]),
+        np.zeros((2, 2)),
+    ], ids=["floats", "integral-float", "float-array", "float-zeros"])
+    def test_constructor_rejects_non_integer_cells(self, cells):
+        # truncating 2.5 and 40.7 would change the verdict; the tests in
+        # mcnemar refuse them the same way
+        with pytest.raises(TypeError):
+            DiscordantMatrix(("A", "B"), cells, IFP)
+
+    def test_integer_array_is_stored_as_python_ints(self):
+        m = DiscordantMatrix(("A", "B"), np.array([[0, 2], [40, 0]], dtype=np.int64), IFP)
+        assert m.m == ((0, 2), (40, 0))
+        assert all(type(v) is int for row in m.m for v in row)
+        assert m == DiscordantMatrix(("A", "B"), [[0, 2], [40, 0]], IFP)
+        assert m.pair_counts(0, 1) == (2, 40)
+
+    @pytest.mark.parametrize("cell", [2 ** 63, -(2 ** 63) - 1])
+    def test_parser_refuses_cells_outside_int64(self, cell):
+        data = f"A\tB\nA\t0\t1\nB\t{cell}\t0\n".encode()
+        with pytest.raises(MalformedLine, match="outside the 64-bit integer range"):
+            parse_matrix_tsv(data, IFP)
+
+    def test_constructor_refuses_cells_beyond_int64(self):
+        # its TSV would not parse back
+        with pytest.raises(ValueError, match="outside the 64-bit integer range"):
+            DiscordantMatrix(("A", "B"), [[0, 2 ** 63], [0, 0]], IFP)
+        assert DiscordantMatrix(("A", "B"), [[0, 2 ** 63 - 1], [0, 0]], IFP).m[0][1] == 2 ** 63 - 1
+
+    def test_parser_keeps_the_int64_extremes(self):
+        data = f"A\tB\nA\t0\t{2 ** 63 - 1}\nB\t1\t0\n".encode()
+        assert parse_matrix_tsv(data, IFP).m == ((0, 2 ** 63 - 1), (1, 0))
+
     @given(st.data(), st.sampled_from(list(Perspective)))
     def test_every_accepted_matrix_survives_the_tsv(self, data, perspective):
         names = data.draw(st.lists(
@@ -274,18 +310,17 @@ class TestDiscordantMatrix:
                     max_size=5),
             max_size=5, unique=True))
         n = len(names)
-        cells = data.draw(st.lists(st.integers(0, 2 ** 63 - 1), min_size=n * n, max_size=n * n))
-        m = np.array(cells, dtype=np.int64).reshape(n, n)
-        np.fill_diagonal(m, 0)
+        top = data.draw(st.sampled_from([2 ** 63 - 1, 2 ** 64]))  # up to or beyond int64
+        cells = data.draw(st.lists(st.integers(0, top), min_size=n * n, max_size=n * n))
+        m = [[0 if i == j else cells[i * n + j] for j in range(n)] for i in range(n)]
+        if top < 2 ** 63 and data.draw(st.booleans()):
+            m = np.array(m, dtype=np.int64).reshape(n, n)
         try:
             matrix = DiscordantMatrix(tuple(names), m, perspective)
-        except (BadSystemName, ValueError):  # a bad name, or no systems
+        except (BadSystemName, ValueError):  # a bad name, no systems, or a cell beyond int64
             return
         again = parse_matrix_tsv(write_matrix_tsv(matrix), perspective)
-        assert again.systems == matrix.systems
-        assert again.m.dtype == matrix.m.dtype
-        assert again.m.tolist() == matrix.m.tolist()
-        assert again.perspective is perspective
+        assert again == matrix
 
 
 # Widths around a byte, so that np.packbits pads the last byte of a block.
@@ -327,8 +362,8 @@ class TestOverlapKernel:
     def test_matrix_equals_set_algebra(self, task, perspective):
         r, systems = task
         m = build_discordant_matrix(r, systems, perspective)
-        assert m.m.dtype == np.int64
-        assert m.m.tolist() == set_matrix(r, systems, perspective).tolist()
+        assert all(type(v) is int for row in m.m for v in row)
+        assert m.m == set_matrix(r, systems, perspective)
 
     @settings(max_examples=300)
     @given(counting_tasks(), st.integers(0, 100))
@@ -360,7 +395,7 @@ class TestOverlapKernel:
                     for k in range(2, 5)]
         for perspective in Perspective:
             m = build_discordant_matrix(r, systems, perspective)
-            assert m.m.tolist() == set_matrix(r, systems, perspective).tolist()
+            assert m.m == set_matrix(r, systems, perspective)
 
     def test_overlaps_beyond_one_byte_of_counts(self):
         rng = random.Random(41)
@@ -372,4 +407,4 @@ class TestOverlapKernel:
                    for k in range(4)]
         for perspective in Perspective:
             m = build_discordant_matrix(r, systems, perspective)
-            assert m.m.tolist() == set_matrix(r, systems, perspective).tolist()
+            assert m.m == set_matrix(r, systems, perspective)

@@ -112,6 +112,8 @@ def test_low_precision_gives_the_integer_path_doubles(monkeypatch):
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(16, 64), _DISCORDANT)
+    @example(64, (300, 301))  # a tie the point interval certifies
+    @example(16, (3000, 2999))  # a tie it leaves to the integer path
     def check(bits, counts):
         monkeypatch.setattr(mcnemar, "_BITS", bits)
         two_sided, point, whole = integer_path(*counts)
