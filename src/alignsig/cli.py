@@ -87,7 +87,7 @@ def main():
 @click.option("--baseline", default=None, help="Baseline system name (nx1 mode).")
 @click.option("--alpha", type=float, default=ComparisonConfig.alpha, show_default=True)
 @click.option("--bergmann-cap", type=int, default=ComparisonConfig.bergmann_cap,
-              show_default=True, help="Max systems for Bergmann's exhaustive-set enumeration.")
+              show_default=True, help="Max systems for Bergmann's correction.")
 @click.option("--dot", "dot_out", type=click.Path(path_type=Path),
               help="Write the significance digraph as DOT.")
 @click.option("--report", "report_out", type=click.Path(path_type=Path),

@@ -13,13 +13,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, FrozenSet, List, Sequence, Tuple
+from typing import Callable, FrozenSet, List, Sequence, Tuple
 
 from .errors import ModeMismatch, TooManySystems
 from .model import DEFAULT_BERGMANN_CAP, Correction, Mode
-
-if TYPE_CHECKING:
-    import numpy as np
 
 APV = Tuple[float, ...]
 
@@ -145,52 +142,11 @@ def adjust_shaffer(h: HypothesisSet) -> APV:
     return _stepdown(h, lambda p, j: t[j - 1] * p)
 
 
-def _restricted_growth_strings(n_systems: int) -> np.ndarray:
-    """Every set partition of n systems, one row each, as a restricted-growth string.
-
-    Row r, column s is the class label of system s; labels appear in first-use
-    order, so a[0] = 0 and a[s] <= max(a[:s]) + 1, which makes the encoding
-    unique.  Built one column at a time: a row whose labels reach m has m + 2
-    children (join one of the m + 1 classes, or open a new one).
-    """
-    import numpy as np  # only Bergmann's exhaustive sets are arrays
-
-    rows = np.zeros((1, 1), dtype=np.int8)
-    top = np.zeros(1, dtype=np.int8)
-    for _ in range(1, n_systems):
-        children = top.astype(np.intp) + 2
-        parent = np.repeat(np.arange(len(rows)), children)
-        first_child = np.cumsum(children) - children
-        label = (np.arange(len(parent)) - first_child[parent]).astype(np.int8)
-        rows = np.column_stack([rows[parent], label])
-        top = np.maximum(top[parent], label)
-    return rows
-
-
-@lru_cache(maxsize=None)
-def _membership(n_systems: int) -> np.ndarray:
-    """Read-only (Bell(n) - 1) x k boolean matrix of the non-empty exhaustive sets.
-
-    Row r is one partition of the systems into equality classes; column i is
-    hypothesis i in itertools.combinations(range(n), 2) order, True when both
-    of its systems share a class.  The all-singletons partition (the empty
-    set) is dropped.  Stored column-major, so one hypothesis's rows are
-    contiguous.  Cached per n for the life of the process.
-    """
-    labels = _restricted_growth_strings(n_systems)
-    a, b = zip(*itertools.combinations(range(n_systems), 2))
-    member = labels[:, a] == labels[:, b]
-    member = member[member.any(axis=1)].copy(order="F")
-    member.flags.writeable = False
-    return member
-
-
-def _exhaustive_membership(n_systems: int, cap: int) -> np.ndarray:
+def _check_systems(n_systems: int, cap: int) -> None:
     if n_systems < 2:
         raise ValueError("need at least 2 systems")
     if n_systems > cap:
         raise TooManySystems(n_systems, cap)
-    return _membership(n_systems)
 
 
 def bergmann_exhaustive_sets(
@@ -202,8 +158,15 @@ def bergmann_exhaustive_sets(
     partition of the systems into equality classes yields one exhaustive set:
     the within-class pairs.  Transitivity makes these the only possibilities.
     """
-    member = _exhaustive_membership(n_systems, cap)
-    sets = [frozenset()] + [frozenset(row.nonzero()[0].tolist()) for row in member]
+    _check_systems(n_systems, cap)
+    index = {pair: i for i, pair in enumerate(itertools.combinations(range(n_systems), 2))}
+    partitions = [[]]
+    for s in range(n_systems):  # system s joins one of the classes, or opens its own
+        partitions = [part[:j] + [part[j] + [s]] + part[j + 1:]
+                      for part in partitions for j in range(len(part))
+                      ] + [part + [[s]] for part in partitions]
+    sets = [frozenset(index[pair] for cls in part for pair in itertools.combinations(cls, 2))
+            for part in partitions]
     return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
 
@@ -211,25 +174,60 @@ def adjust_bergmann(h: HypothesisSet, cap: int = DEFAULT_BERGMANN_CAP) -> APV:
     """Bergmann's dynamic procedure via the acceptance-set definition.
 
     A hypothesis is retained at level alpha iff some exhaustive set I
-    containing it satisfies min{p_i : i in I} > alpha / |I|.  The APV of a
-    hypothesis is therefore max over exhaustive I containing it of
-    |I| * min{p_i : i in I}: the smallest alpha at which it leaves every
-    qualifying acceptance set.
+    containing it satisfies min{p_i : i in I} > alpha / |I|, so its APV is
+    the max over exhaustive I containing it of |I| * min{p_i : i in I}.
 
-    Computed over all exhaustive sets at once from the membership matrix:
-    bound_r = |I_r| * min_{j in I_r} p_j, then apv_i = min(1, max_{r : i in I_r}
-    bound_r).  The minimum is the p-value of each row's first member in
-    ascending-p column order, so no float matrix of the sets' size is built.
+    Computed in threshold form: apv_i = min(1, max over t <= p_i of
+    t * L_i(t)), where L_i(t) is the most within-class pairs of any partition
+    of the systems into cliques of the graph of pairs with p >= t, with i's
+    two systems in one class.  Pairs join that graph in descending p, ties
+    together, and best[s] holds the most within-class pairs of any clique
+    partition of the system bitmask s; a new pair only adds partitions with
+    both its systems in one class, so only the sets holding both are updated.
+    No L_i(t) exceeds best[full], so a pair whose APV reaches t * best[full]
+    is skipped at t.  t * L is the int x float product |I| * min p, bit for bit.
     """
-    import numpy as np
-
     _require_nxn(h, Correction.BERGMANN)
-    member = _exhaustive_membership(h.n_systems, cap)
-    p = np.asarray(h.raw_p, dtype=float)
-    by_p = np.argsort(p, kind="stable")
-    min_p = p[by_p][member[:, by_p].argmax(axis=1)]
-    bound = member.sum(axis=1) * min_p
-    return tuple(min(1.0, bound[member[:, i]].max().item()) for i in range(h.k))
+    n = h.n_systems
+    _check_systems(n, cap)
+    full = (1 << n) - 1
+    within = [c * (c - 1) // 2 for c in map(int.bit_count, range(full + 1))]
+    clique = bytearray(s & (s - 1) == 0 for s in range(full + 1))  # the sets of 0 or 1 system
+    best = [0] * (full + 1)
+    pairs = list(itertools.combinations(range(n), 2))
+    holding = []  # holding[i]: every system set with both systems of pair i
+    for a, b in pairs:
+        sets = [1 << a | 1 << b]
+        for s in range(n):
+            if s != a and s != b:
+                sets += [u | 1 << s for u in sets]
+        holding.append(sets)
+    apv = [0.0] * h.k
+    joined = []
+    p = h.raw_p
+    for t, tied in itertools.groupby(sorted(range(h.k), key=lambda i: -p[i]), key=p.__getitem__):
+        if not t:  # t * L is 0 for the pairs left: their APVs stay 0
+            break
+        for i in tied:
+            a, b = pairs[i]
+            # the sets holding a and b that this pair makes cliques
+            for c in [c for c in holding[i] if clique[c ^ 1 << a] and clique[c ^ 1 << b]]:
+                clique[c] = 1
+                w = within[c]
+                rest = u = full ^ c
+                while True:  # every u outside the new clique c, the empty set last
+                    if best[u] + w > best[u | c]:
+                        best[u | c] = best[u] + w
+                    if not u:
+                        break
+                    u = (u - 1) & rest
+            joined.append(i)
+        bound = t * best[full]
+        for i in joined:
+            if bound > apv[i]:
+                most = max(within[c] + best[full ^ c] for c in holding[i] if clique[c])
+                apv[i] = max(apv[i], t * most)
+    return tuple(min(1.0, v) for v in apv)
 
 
 def adjust(h: HypothesisSet, correction: Correction,

@@ -9,8 +9,8 @@ from typing import Dict, List, Optional, Tuple
 from .errors import EmptySystemName, ModeMismatch
 
 #: Most systems Bergmann's correction accepts unless the caller raises the cap:
-#: its exhaustive sets number Bell(n), and their membership matrix takes about
-#: 5 MB at n = 10 but 280 MB at n = 12.  The library and the CLI share it.
+#: its time grows about threefold per added system (0.016 s at n = 10, 0.3 s
+#: at n = 13).  The library and the CLI share it.
 DEFAULT_BERGMANN_CAP = 10
 
 

@@ -56,6 +56,13 @@ class TestCompare:
         assert ((tmp_path / "report.json").read_bytes()
                 == (golden / "anatomy_ifp_bergmann.json").read_bytes())
 
+    def test_one_system_matrix_needs_two_for_bergmann(self, runner, tmp_path):
+        matrix = write(tmp_path, "one.tsv", "A\nA\t0\n")
+        result = runner.invoke(main, ["compare", "--matrix", matrix])
+        assert (result.exit_code, result.output) == (2, "error: need at least 2 systems\n")
+        result = runner.invoke(main, ["compare", "--matrix", matrix, "--correction", "holm"])
+        assert (result.exit_code, result.output) == (0, "A\n")
+
     def test_mode_correction_mismatch_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, [
             "compare", "--matrix", str(fixture_path("anatomy-ifp")),
@@ -457,21 +464,18 @@ def run_fresh(*args):
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # scipy serves only `match`, numpy only counting, Bergmann and `match`,
-    # and xml.etree only XML alignments; loading them would slow every command
+    # scipy serves only `match`, numpy only counting and `match`, and
+    # xml.etree only XML alignments; loading them would slow every command
     assert run_fresh("--help") == (0, "[]")
 
 
-@pytest.mark.parametrize("correction", ["holm", "shaffer"])
+@pytest.mark.parametrize("correction", ["holm", "shaffer", "bergmann"])
 def test_matrix_compare_loads_no_numpy(correction):
     matrix = str(fixture_path("anatomy-ifp"))
     assert run_fresh("compare", "--matrix", matrix, "--correction", correction) == (0, "[]")
 
 
-def test_bergmann_and_match_load_numpy_where_they_need_it(tmp_path):
-    matrix = str(fixture_path("anatomy-ifp"))
-    code, loaded = run_fresh("compare", "--matrix", matrix, "--correction", "bergmann")
-    assert (code, loaded) == (0, "['numpy']")
+def test_match_loads_numpy_and_scipy(tmp_path):
     labels = write(tmp_path, "labels.tsv", LABELS)
     code, loaded = run_fresh("match", "--source", labels, "--target", labels,
                              "--metric", "levenshtein")

@@ -6,9 +6,8 @@ import random
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from alignsig import fwer
 from alignsig.errors import ModeMismatch, TooManySystems
 from alignsig.fwer import (
     HypothesisSet,
@@ -232,14 +231,6 @@ class TestBergmann:
         assert set(sets) == oracle_exhaustive_sets(n)
         assert sets == sorted(sets, key=lambda s: (len(s), sorted(s)))
 
-    def test_membership_matrix_cached_and_read_only(self):
-        member = fwer._membership(6)
-        assert fwer._membership(6) is member
-        assert member.shape == (203 - 1, 15)  # Bell(6) - 1 non-empty sets
-        assert not member.flags.writeable
-        with pytest.raises(ValueError):
-            member[0, 0] = not member[0, 0]
-
     def test_adjust_enforces_cap(self):
         h = nxn_hypotheses([0.5] * 10)  # n = 5
         with pytest.raises(TooManySystems):
@@ -293,9 +284,9 @@ class TestBergmann:
 
 
 @st.composite
-def bergmann_pvals(draw):
-    """k = n(n-1)/2 p-values for 2 <= n <= 8, with ties, 0.0 and 1.0 frequent."""
-    n = draw(st.integers(2, 8))
+def bergmann_pvals(draw, max_n=8):
+    """k = n(n-1)/2 p-values for 2 <= n <= max_n, with ties, 0.0 and 1.0 frequent."""
+    n = draw(st.integers(2, max_n))
     value = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 0.01]), st.floats(0, 1))
     return draw(st.lists(value, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
 
@@ -303,6 +294,33 @@ def bergmann_pvals(draw):
 @given(bergmann_pvals())
 def test_bergmann_apv_equals_partition_oracle(pvals):
     assert adjust_bergmann(nxn_hypotheses(pvals)) == oracle_bergmann_apv(pvals)
+
+
+# Past the partition oracle's reach (n <= 10): properties up to n = 12, where
+# one adjustment takes up to about 0.15 s, so the example counts stay small.
+@settings(max_examples=10, deadline=None)
+@given(bergmann_pvals(max_n=12), st.data())
+def test_bergmann_relabelling_permutes_the_apvs(pvals, data):
+    h = nxn_hypotheses(pvals)
+    n = h.n_systems
+    label = data.draw(st.permutations(range(n)))
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {pair: i for i, pair in enumerate(pairs)}
+    moved = [index[tuple(sorted((label[a], label[b])))] for a, b in pairs]
+    relabelled = [0.0] * h.k
+    for i, j in enumerate(moved):
+        relabelled[j] = pvals[i]
+    apv = adjust_bergmann(h, cap=n)
+    relabelled_apv = adjust_bergmann(nxn_hypotheses(relabelled), cap=n)
+    assert [relabelled_apv[j] for j in moved] == list(apv)
+
+
+@settings(max_examples=10, deadline=None)
+@given(bergmann_pvals(max_n=12))
+def test_bergmann_never_exceeds_shaffer(pvals):
+    h = nxn_hypotheses(pvals)
+    shaffer = adjust_shaffer(h)
+    assert all(b <= s for b, s in zip(adjust_bergmann(h, cap=h.n_systems), shaffer))
 
 
 pvec = st.lists(st.floats(0, 1, allow_nan=False), min_size=3, max_size=45)
