@@ -17,27 +17,27 @@ from .model import (
     Alignment, ComparisonConfig, Correction, MetricKind, Mode, Perspective, TestKind,
 )
 
-PERSPECTIVES = {p.value: p for p in Perspective}
-TESTS = {t.value: t for t in TestKind}
-CORRECTIONS = {c.value: c for c in Correction}
-MODES = {m.value: m for m in Mode}
-METRICS = {m.value: m for m in MetricKind}
-
 #: What a bad input file or option value raises; each ends as exit code 2.
 #: OSError covers a missing path, a directory and an unreadable file.
 INPUT_ERRORS = (AlignsigError, OSError, ValueError)
 
-perspective_option = click.option(
-    "--perspective", type=click.Choice(sorted(PERSPECTIVES)), default="ifp"
-)
+
+def _choice(enum, case_sensitive=True) -> click.Choice:
+    """The enum's values, sorted, as the values an option accepts."""
+    return click.Choice(sorted(member.value for member in enum), case_sensitive=case_sensitive)
+
+
+perspective_option = click.option("--perspective", type=_choice(Perspective), default="ifp")
 
 
 def _load_alignment(path: Path, system_name: str) -> Alignment:
     data = path.read_bytes()
     # an XML file may open with the UTF-8 byte order mark; a UTF-16 or UTF-32
-    # file can only be XML, since TSV files are read as UTF-8
+    # file can only be XML, since TSV files are read as UTF-8; a TSV line may
+    # open with a bracketed IRI, but it holds a tab
+    head = data.removeprefix(b"\xef\xbb\xbf").lstrip()
     if (data.startswith(ingest.WIDE_BOMS)
-            or data.removeprefix(b"\xef\xbb\xbf").lstrip().startswith(b"<")):
+            or head.startswith(b"<") and b"\t" not in head.partition(b"\n")[0]):
         return ingest.parse_alignment_xml(data, system_name)
     return ingest.parse_alignment_tsv(data, system_name)
 
@@ -80,10 +80,10 @@ def main():
 @click.option("--matrix", type=click.Path(exists=True, path_type=Path),
               help="Pre-built discordant matrix TSV (alternative to alignments).")
 @perspective_option
-@click.option("--test", "test_name", type=click.Choice(sorted(TESTS)),
+@click.option("--test", "test_name", type=_choice(TestKind),
               default=ComparisonConfig.test.value)
-@click.option("--correction", type=click.Choice(sorted(CORRECTIONS)), default=None)
-@click.option("--mode", type=click.Choice(sorted(MODES)), default=ComparisonConfig.mode.value)
+@click.option("--correction", type=_choice(Correction), default=None)
+@click.option("--mode", type=_choice(Mode), default=ComparisonConfig.mode.value)
 @click.option("--baseline", default=None, help="Baseline system name (nx1 mode).")
 @click.option("--alpha", type=float, default=ComparisonConfig.alpha, show_default=True)
 @click.option("--bergmann-cap", type=int, default=ComparisonConfig.bergmann_cap,
@@ -97,14 +97,14 @@ def compare(reference, alignments, matrix, perspective, test_name, correction,
     """Pairwise McNemar comparison with FWER correction; emits DOT + report."""
     try:
         cfg = ComparisonConfig(
-            test=TESTS[test_name],
-            correction=CORRECTIONS.get(correction),
-            mode=MODES[mode],
+            test=TestKind(test_name),
+            correction=None if correction is None else Correction(correction),
+            mode=Mode(mode),
             baseline=baseline,
             alpha=alpha,
             bergmann_cap=bergmann_cap,
         )
-        m = _resolve_matrix(reference, alignments, matrix, PERSPECTIVES[perspective])
+        m = _resolve_matrix(reference, alignments, matrix, Perspective(perspective))
         graph = siggraph.build_graph(m, cfg)
     except INPUT_ERRORS as exc:
         _fail_validation(exc)
@@ -142,9 +142,7 @@ def table(reference, alignments, perspective, output):
     try:
         ref = _load_alignment(reference, "reference")
         systems = _parse_alignment_args(alignments)
-        m = contingency.build_discordant_matrix(
-            ref, systems, PERSPECTIVES[perspective]
-        )
+        m = contingency.build_discordant_matrix(ref, systems, Perspective(perspective))
     except INPUT_ERRORS as exc:
         _fail_validation(exc)
     _write(output, contingency.write_matrix_tsv(m))
@@ -153,7 +151,7 @@ def table(reference, alignments, perspective, output):
 @main.command()
 @click.option("--source", type=click.Path(exists=True, path_type=Path), required=True)
 @click.option("--target", type=click.Path(exists=True, path_type=Path), required=True)
-@click.option("--metric", type=click.Choice(sorted(METRICS), case_sensitive=False),
+@click.option("--metric", type=_choice(MetricKind, case_sensitive=False),
               required=True)
 @click.option("--threshold", type=float, default=0.0, show_default=True)
 @click.option("--name", "system_name", default=None,
@@ -164,7 +162,7 @@ def match(source, target, metric, threshold, system_name, output):
     """Match two concept-label lists with a string metric + optimal assignment."""
     from . import matcher  # numpy, and scipy's solver, load only for matching
 
-    kind = METRICS[metric]
+    kind = MetricKind(metric)
     try:
         src = ingest.parse_label_list(source.read_bytes())
         tgt = ingest.parse_label_list(target.read_bytes())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     BadSystemName, DuplicateSystemName, MalformedLine, NegativeCount, UniverseTooSmall,
@@ -18,54 +18,42 @@ from .errors import (
 from .ingest import text_lines
 from .model import Alignment, ContingencyTable, Perspective
 
-if TYPE_CHECKING:
-    import numpy as np
-
 #: The cell range a matrix holds, so that every one survives its TSV: that of
 #: a signed 64-bit integer.
 _INT64 = range(-(1 << 63), 1 << 63)
 
+#: A system's correspondence ids as two bitsets: inside and outside the reference.
+_Bits = Tuple[int, int]
 
-def _overlaps(
-    r: Alignment, systems: Sequence[Alignment]
-) -> Tuple[np.ndarray, np.ndarray, int, int]:
-    """Pairwise overlaps of the systems inside and outside the reference.
+
+def _bitsets(r: Alignment, systems: Sequence[Alignment]) -> Tuple[List[_Bits], int, int]:
+    """Each system's correspondences as bitsets inside and outside the reference.
 
     Every correspondence key gets an integer id once: the reference's keys take
-    ``0..nr-1`` and keys only systems have take the ids after them.  Each
-    system becomes a row of bits over those ids, packed eight to a byte, and
-    ``g_r[i, j] = |Ai & Aj & R|``, ``g_f[i, j] = |(Ai & Aj) - R|`` are popcounts
-    of the rows' AND.  Returns ``(g_r, g_f, nr, nids)``, where
+    ``0..nr-1`` and keys only systems have take the ids after them.  Returns
+    ``(bits, nr, nids)``, where ``bits[i] = (Ai & R, Ai - R)``, each a Python int
+    whose set bits are the ids (those outside R shifted down by nr), and
     ``nids = |R | A1 | ... | An|``.
     """
-    import numpy as np  # only counting builds arrays
-
     ids: Dict[tuple, int] = {key: i for i, key in enumerate(r.pairs)}
     nr = len(ids)
-    rows = [np.fromiter((ids.setdefault(key, len(ids)) for key in a.pairs),
-                        dtype=np.intp, count=len(a))
-            for a in systems]
-    x = np.zeros((len(systems), len(ids)), dtype=bool)
-    for i, row in enumerate(rows):
-        x[i, row] = True
-    return _gram(x[:, :nr]), _gram(x[:, nr:]), nr, len(ids)
+    bits = []
+    for a in systems:
+        row = [ids.setdefault(key, len(ids)) for key in a.pairs]
+        bitmap = bytearray((len(ids) + 7) >> 3)
+        for i in row:
+            bitmap[i >> 3] |= 1 << (i & 7)
+        members = int.from_bytes(bitmap, "little")
+        bits.append((members & ((1 << nr) - 1), members >> nr))
+    return bits, nr, len(ids)
 
 
-def _gram(block: np.ndarray) -> np.ndarray:
-    """``g[i, j]`` = number of columns where rows i and j of ``block`` are both set."""
-    import numpy as np
-
-    packed = np.packbits(block, axis=1)  # zero padding never adds to a popcount
-    return np.stack([np.bitwise_count(row & packed).sum(axis=1, dtype=np.int64)
-                     for row in packed])
-
-
-def _in_favor_counts(g_r: np.ndarray, g_f: np.ndarray, perspective: Perspective) -> np.ndarray:
-    """``m[i, j] = |(Ai & R) - Aj|``, plus ``|Aj - Ai - R|`` under CFP."""
-    m = g_r.diagonal()[:, None] - g_r
+def _in_favor(a: _Bits, b: _Bits, perspective: Perspective) -> int:
+    """``|(A & R) - B|``, plus ``|B - A - R|`` under CFP."""
+    count = (a[0] & ~b[0]).bit_count()
     if perspective is Perspective.CFP:
-        m += g_f.diagonal()[None, :] - g_f
-    return m
+        count += (b[1] & ~a[1]).bit_count()
+    return count
 
 
 def build_table(
@@ -84,16 +72,16 @@ def build_table(
     """
     if total_pairs is not None and total_pairs <= 0:
         raise ValueError("total_pairs must be positive when given")
-    g_r, g_f, nr, union = _overlaps(r, (a1, a2))
+    (b1, b2), nr, union = _bitsets(r, (a1, a2))
     if total_pairs is not None and total_pairs < union:
         raise UniverseTooSmall(total_pairs, union)
-    m = _in_favor_counts(g_r, g_f, perspective)
-    n11 = int(g_r[0, 1])
-    n00 = nr - int(g_r[0, 0]) - int(g_r[1, 1]) + n11
+    n11 = (b1[0] & b2[0]).bit_count()
+    n00 = nr - (b1[0] | b2[0]).bit_count()
     if perspective is Perspective.CFP:
-        n00 += int(g_f[0, 1])
+        n00 += (b1[1] & b2[1]).bit_count()
         n11 = None if total_pairs is None else n11 + total_pairs - union
-    return ContingencyTable(n00=n00, n01=int(m[1, 0]), n10=int(m[0, 1]), n11=n11,
+    return ContingencyTable(n00=n00, n01=_in_favor(b2, b1, perspective),
+                            n10=_in_favor(b1, b2, perspective), n11=n11,
                             perspective=perspective)
 
 
@@ -154,9 +142,9 @@ def build_discordant_matrix(
         raise ValueError("need at least 2 systems")
     names = [a.system_name for a in systems]
     _check_names(names)  # before the all-pairs counting, not after it
-    g_r, g_f, _, _ = _overlaps(r, systems)
-    m = _in_favor_counts(g_r, g_f, perspective)
-    return DiscordantMatrix(systems=tuple(names), m=m.tolist(), perspective=perspective)
+    bits, _, _ = _bitsets(r, systems)
+    m = [[_in_favor(a, b, perspective) for b in bits] for a in bits]
+    return DiscordantMatrix(systems=tuple(names), m=m, perspective=perspective)
 
 
 def write_matrix_tsv(matrix: DiscordantMatrix) -> bytes:

@@ -315,6 +315,18 @@ class TestTable:
         assert result.exit_code == 0, result.output
         assert result.output.splitlines()[1:] == ["S1\t0\t1", "S2\t1\t0"]
 
+    def test_tsv_opening_with_a_bracketed_iri_is_not_xml(self, runner, tmp_path):
+        ref = write(tmp_path, "ref.tsv",
+                    "<http://a#x>\t<http://b#y>\n<http://a#z>\t<http://b#w>\n")
+        a = write(tmp_path, "a.tsv", "<http://a#x>\t<http://b#y>\n")
+        b = write(tmp_path, "b.tsv", "<http://a#z>\t<http://b#w>\t=\t0.5\n")
+        result = runner.invoke(main, [
+            "table", "--reference", ref,
+            "--alignment", f"S1={a}", "--alignment", f"S2={b}",
+        ])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[1:] == ["S1\t0\t1", "S2\t1\t0"]
+
     def test_undecodable_input_exits_2(self, runner, tmp_path):
         ref = tmp_path / "ref.tsv"
         ref.write_bytes(b"r1\t\xff\n")
@@ -464,8 +476,8 @@ def run_fresh(*args):
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # scipy serves only `match`, numpy only counting and `match`, and
-    # xml.etree only XML alignments; loading them would slow every command
+    # numpy and scipy serve only `match`, and xml.etree only XML
+    # alignments; loading them would slow every command
     assert run_fresh("--help") == (0, "[]")
 
 
@@ -473,6 +485,15 @@ def test_importing_the_cli_loads_no_scipy():
 def test_matrix_compare_loads_no_numpy(correction):
     matrix = str(fixture_path("anatomy-ifp"))
     assert run_fresh("compare", "--matrix", matrix, "--correction", correction) == (0, "[]")
+
+
+@pytest.mark.parametrize("command", ["table", "compare"])
+def test_counting_tsv_alignments_loads_no_numpy(tmp_path, command):
+    ref = write(tmp_path, "ref.tsv", REF)
+    a = write(tmp_path, "a.tsv", SYS_A)
+    b = write(tmp_path, "b.tsv", SYS_B)
+    assert run_fresh(command, "--reference", ref, "--alignment", f"S1={a}",
+                     "--alignment", f"S2={b}") == (0, "[]")
 
 
 def test_match_loads_numpy_and_scipy(tmp_path):

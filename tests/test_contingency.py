@@ -323,7 +323,8 @@ class TestDiscordantMatrix:
         assert again == matrix
 
 
-# Widths around a byte, so that np.packbits pads the last byte of a block.
+# Widths around a byte, so that the id bitmap ends on, just before or just past
+# a byte boundary.
 BLOCK_WIDTHS = [0, 1, 7, 8, 9]
 SHAPES = ["random", "empty", "outside R", "covers R", "every false key"]
 
