@@ -13,9 +13,7 @@ import click
 
 from . import contingency, ingest, siggraph
 from .errors import AlignsigError
-from .model import (
-    Alignment, ComparisonConfig, Correction, MetricKind, Mode, Perspective, TestKind,
-)
+from .model import ComparisonConfig, Correction, MetricKind, Mode, Perspective, TestKind
 
 #: What a bad input file or option value raises; each ends as exit code 2.
 #: OSError covers a missing path, a directory and an unreadable file.
@@ -30,25 +28,13 @@ def _choice(enum, case_sensitive=True) -> click.Choice:
 perspective_option = click.option("--perspective", type=_choice(Perspective), default="ifp")
 
 
-def _load_alignment(path: Path, system_name: str) -> Alignment:
-    data = path.read_bytes()
-    # an XML file may open with the UTF-8 byte order mark; a UTF-16 or UTF-32
-    # file can only be XML, since TSV files are read as UTF-8; a TSV line may
-    # open with a bracketed IRI, but it holds a tab
-    head = data.removeprefix(b"\xef\xbb\xbf").lstrip()
-    if (data.startswith(ingest.WIDE_BOMS)
-            or head.startswith(b"<") and b"\t" not in head.partition(b"\n")[0]):
-        return ingest.parse_alignment_xml(data, system_name)
-    return ingest.parse_alignment_tsv(data, system_name)
-
-
 def _parse_alignment_args(specs) -> list:
     alignments = []
     for spec in specs:
         if "=" not in spec:
             raise click.UsageError(f"--alignment must be name=path, got {spec!r}")
         name, _, path = spec.partition("=")
-        alignments.append(_load_alignment(Path(path), name))
+        alignments.append(ingest.parse_alignment(Path(path).read_bytes(), name))
     return alignments
 
 
@@ -125,7 +111,7 @@ def _resolve_matrix(reference, alignments, matrix, persp):
         raise click.UsageError(
             "provide either --matrix or --reference plus >=2 --alignment entries"
         )
-    ref = _load_alignment(reference, "reference")
+    ref = ingest.parse_alignment(reference.read_bytes(), "reference")
     systems = _parse_alignment_args(alignments)
     return contingency.build_discordant_matrix(ref, systems, persp)
 
@@ -140,7 +126,7 @@ def _resolve_matrix(reference, alignments, matrix, persp):
 def table(reference, alignments, perspective, output):
     """Emit the all-pairs discordant matrix as TSV."""
     try:
-        ref = _load_alignment(reference, "reference")
+        ref = ingest.parse_alignment(reference.read_bytes(), "reference")
         systems = _parse_alignment_args(alignments)
         m = contingency.build_discordant_matrix(ref, systems, Perspective(perspective))
     except INPUT_ERRORS as exc:

@@ -10,14 +10,17 @@ FIXTURES = {
 }
 
 
-def fixture_bytes(name: str) -> bytes:
+def _fixture(name: str):
     try:
         filename = FIXTURES[name]
     except KeyError:
-        raise KeyError(f"unknown fixture {name!r}; known: {sorted(FIXTURES)}")
-    return resources.files(__package__).joinpath(filename).read_bytes()
+        raise KeyError(f"unknown fixture {name!r}; known: {sorted(FIXTURES)}") from None
+    return resources.files(__package__).joinpath(filename)
+
+
+def fixture_bytes(name: str) -> bytes:
+    return _fixture(name).read_bytes()
 
 
 def fixture_path(name: str) -> Path:
-    filename = FIXTURES[name]
-    return Path(str(resources.files(__package__).joinpath(filename)))
+    return Path(str(_fixture(name)))

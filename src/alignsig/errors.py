@@ -23,24 +23,17 @@ class MalformedLine(AlignsigError):
         super().__init__(f"line {line_no}: {reason}")
 
 
-class ConfidenceOutOfRange(AlignsigError):
-    def __init__(self, line_no: int, value: float):
-        self.line_no = line_no
-        self.value = value
-        super().__init__(f"line {line_no}: confidence {value} outside [0, 1]")
-
-
 class XmlSyntax(AlignsigError):
     def __init__(self, position: tuple, message: str):
         self.position = position
         super().__init__(f"XML syntax error at {position}: {message}")
 
 
-class BadMeasure(AlignsigError):
-    def __init__(self, cell_index: int, text: str):
-        self.cell_index = cell_index
+class BadConfidence(AlignsigError):
+    def __init__(self, location: str, text: str):
+        self.location = location
         self.text = text
-        super().__init__(f"Cell {cell_index}: measure {text!r} is not a number in [0, 1]")
+        super().__init__(f"{location}: confidence {text!r} is not a number in [0, 1]")
 
 
 class Undecodable(AlignsigError):
@@ -50,15 +43,16 @@ class Undecodable(AlignsigError):
 
 
 class MissingEntity(AlignsigError):
-    def __init__(self, cell_index: int):
-        self.cell_index = cell_index
-        super().__init__(f"Cell {cell_index} lacks entity1/entity2 resource")
+    def __init__(self, location: str):
+        self.location = location
+        super().__init__(f"{location}: missing or blank entity")
 
 
 class DuplicateId(AlignsigError):
-    def __init__(self, id_: str):
+    def __init__(self, line_no: int, id_: str):
+        self.line_no = line_no
         self.id = id_
-        super().__init__(f"duplicate id {id_!r}")
+        super().__init__(f"line {line_no}: duplicate id {id_!r}")
 
 
 class UniverseTooSmall(AlignsigError):

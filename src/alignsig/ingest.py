@@ -3,23 +3,20 @@
 Two alignment formats are supported: a simple TSV format used for fixtures
 and tests, and the subset of the Alignment XML interchange format that OAEI
 tools emit (``Cell`` elements with ``entity1``/``entity2`` resources).
+``parse_alignment`` picks a file's format; both parsers pass their raw entity,
+relation and confidence strings to the same three checks.
 """
 
 from __future__ import annotations
 
 import codecs
 from dataclasses import dataclass
+from itertools import repeat
 from typing import List, Tuple
 
 from .errors import (
-    BadMeasure,
-    ConfidenceOutOfRange,
-    DuplicateId,
-    MalformedLine,
-    MissingEntity,
-    NonEquivalenceRelation,
-    Undecodable,
-    XmlSyntax,
+    BadConfidence, DuplicateId, MalformedLine, MissingEntity, NonEquivalenceRelation,
+    Undecodable, XmlSyntax,
 )
 from .model import Alignment, canonicalize_alignment
 
@@ -38,7 +35,7 @@ class LabelTable:
 
 
 def text_lines(data: bytes):
-    """Yield (line_no, text) for every line of a UTF-8 text file.
+    """An iterator of (line_no, text) for every line of a UTF-8 text file.
 
     A leading byte order mark is dropped.  Lines end at ``\\n`` only, with an
     optional ``\\r`` before it, so form feeds, U+2028 and the like stay inside
@@ -48,16 +45,45 @@ def text_lines(data: bytes):
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise Undecodable(exc.start, exc.reason) from None
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        yield line_no, line.removesuffix("\r")
+    # built-in iterators only, which cost less per line than a generator
+    return enumerate(map(str.removesuffix, text.split("\n"), repeat("\r")), start=1)
 
 
 def _data_lines(data: bytes):
     """Yield (line_no, text) for non-blank, non-comment lines."""
     for line_no, line in text_lines(data):
         stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
+        if stripped and stripped[0] != "#":
             yield line_no, line
+
+
+def _correspondence(source: str, target: str, confidence: float, where: str,
+                    number: int) -> Tuple[str, str, float]:
+    """The row with both entities stripped; a blank entity raises MissingEntity."""
+    source, target = source.strip(), target.strip()
+    if not source or not target:
+        raise MissingEntity(f"{where} {number}")
+    return source, target, confidence
+
+
+def _relation(text: str | None, where: str, number: int) -> None:
+    """An absent or blank relation is ``=``; any other raises NonEquivalenceRelation."""
+    # an exact "=", the common case, needs no strip
+    if text and text != EQUIVALENCE and text.strip() not in ("", EQUIVALENCE):
+        raise NonEquivalenceRelation(f"{where} {number}", text.strip())
+
+
+def _confidence(text: str | None, where: str, number: int) -> float:
+    """An absent confidence is 1; a present one must be a number in [0, 1]."""
+    if text is None:
+        return 1.0
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not 0.0 <= value <= 1.0:
+        raise BadConfidence(f"{where} {number}", text.strip())
+    return value
 
 
 def parse_alignment_tsv(data: bytes, system_name: str) -> Alignment:
@@ -65,26 +91,14 @@ def parse_alignment_tsv(data: bytes, system_name: str) -> Alignment:
     out = []
     for line_no, line in _data_lines(data):
         fields = line.split("\t")
-        if len(fields) < 2:
+        n = len(fields)
+        if n < 2:
             raise MalformedLine(line_no, "expected >=2 tab-separated fields")
-        if len(fields) > 4:
+        if n > 4:
             raise MalformedLine(line_no, "expected <=4 tab-separated fields")
-        relation = fields[2].strip() if len(fields) >= 3 else EQUIVALENCE
-        if relation != EQUIVALENCE:
-            raise NonEquivalenceRelation(f"line {line_no}", relation)
-        if len(fields) == 4:
-            try:
-                confidence = float(fields[3])
-            except ValueError:
-                raise MalformedLine(line_no, f"bad confidence {fields[3]!r}")
-            if not 0.0 <= confidence <= 1.0:
-                raise ConfidenceOutOfRange(line_no, confidence)
-        else:
-            confidence = 1.0
-        source, target = fields[0].strip(), fields[1].strip()
-        if not source or not target:
-            raise MalformedLine(line_no, "empty source or target")
-        out.append((source, target, confidence))
+        _relation(fields[2] if n > 2 else None, "line", line_no)
+        confidence = _confidence(fields[3] if n > 3 else None, "line", line_no)
+        out.append(_correspondence(fields[0], fields[1], confidence, "line", line_no))
     return canonicalize_alignment(out, system_name)
 
 
@@ -92,27 +106,16 @@ def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _resource(elem) -> str | None:
+def _resource(elem) -> str:
     for key, value in elem.attrib.items():
         if _local(key) == "resource":
-            return value.strip() or None
-    return None
-
-
-def _measure(cell_index: int, text: str | None) -> float:
-    text = (text or "").strip()
-    try:
-        value = float(text)
-    except ValueError:
-        raise BadMeasure(cell_index, text) from None
-    if not 0.0 <= value <= 1.0:
-        raise BadMeasure(cell_index, text)
-    return value
+            return value
+    return ""
 
 
 #: Byte order marks of UTF-32 and UTF-16, UTF-32's first since its LE mark
 #: begins with UTF-16's; only XML files may use them.
-WIDE_BOMS = (codecs.BOM_UTF32_LE, codecs.BOM_UTF32_BE, codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE)
+_WIDE_BOMS = (codecs.BOM_UTF32_LE, codecs.BOM_UTF32_BE, codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE)
 
 
 def _xml_document(data: bytes) -> bytes | str:
@@ -120,9 +123,9 @@ def _xml_document(data: bytes) -> bytes | str:
 
     expat would reject UTF-32 and a declared byte order such as ``UTF-16-BE``.
     """
-    if not data.startswith(WIDE_BOMS):
+    if not data.startswith(_WIDE_BOMS):
         return data
-    encoding = "utf-32" if data.startswith(WIDE_BOMS[:2]) else "utf-16"
+    encoding = "utf-32" if data.startswith(_WIDE_BOMS[:2]) else "utf-16"
     try:
         return data.decode(encoding)
     except UnicodeDecodeError as exc:
@@ -147,9 +150,8 @@ def parse_alignment_xml(data: bytes, system_name: str) -> Alignment:
     for elem in root.iter():
         if _local(elem.tag) != "Cell":
             continue
-        entity1 = entity2 = None
-        measure = 1.0
-        relation = EQUIVALENCE
+        entity1 = entity2 = ""
+        measure = relation = None
         for child in elem:
             name = _local(child.tag)
             if name == "entity1":
@@ -157,16 +159,30 @@ def parse_alignment_xml(data: bytes, system_name: str) -> Alignment:
             elif name == "entity2":
                 entity2 = _resource(child)
             elif name == "measure":
-                measure = _measure(cell_index, child.text)
+                measure = child.text or ""  # <measure/> is blank, not absent
             elif name == "relation":
-                relation = (child.text or EQUIVALENCE).strip()
-        if not entity1 or not entity2:
-            raise MissingEntity(cell_index)
-        if relation != EQUIVALENCE:
-            raise NonEquivalenceRelation(f"Cell {cell_index}", relation)
-        out.append((entity1, entity2, measure))
+                relation = child.text
+        confidence = _confidence(measure, "Cell", cell_index)
+        row = _correspondence(entity1, entity2, confidence, "Cell", cell_index)
+        _relation(relation, "Cell", cell_index)
+        out.append(row)
         cell_index += 1
     return canonicalize_alignment(out, system_name)
+
+
+def parse_alignment(data: bytes, system_name: str) -> Alignment:
+    """Parse an alignment file as Alignment XML or TSV, by how it opens.
+
+    A file is XML when it opens with a UTF-16 or UTF-32 byte order mark (TSV
+    is UTF-8 only), or when, after an optional UTF-8 mark and whitespace, it
+    opens with ``<?`` or ``<!``, or with ``<`` on a first line that holds no
+    tab; a TSV line may open with a bracketed IRI, but it holds a tab.
+    """
+    head = data.removeprefix(codecs.BOM_UTF8).lstrip()
+    if (data.startswith(_WIDE_BOMS) or head.startswith((b"<?", b"<!"))
+            or head.startswith(b"<") and b"\t" not in head.partition(b"\n")[0]):
+        return parse_alignment_xml(data, system_name)
+    return parse_alignment_tsv(data, system_name)
 
 
 def parse_label_list(data: bytes) -> LabelTable:
@@ -181,7 +197,7 @@ def parse_label_list(data: bytes) -> LabelTable:
         if not id_ or not label:
             raise MalformedLine(line_no, "empty id or label")
         if id_ in seen:
-            raise DuplicateId(id_)
+            raise DuplicateId(line_no, id_)
         seen.add(id_)
         rows.append((id_, label))
     return LabelTable(rows=tuple(rows))

@@ -280,7 +280,7 @@ class TestTable:
             "--alignment", f"S1={a}", "--alignment", f"S2={b}",
         ])
         assert result.exit_code == 2
-        assert "Cell 0: measure" in result.output
+        assert "Cell 0: confidence" in result.output
 
     def test_byte_order_marks_on_tsv_and_xml_inputs(self, runner, tmp_path):
         bom = b"\xef\xbb\xbf"
@@ -308,6 +308,19 @@ class TestTable:
                       '<Cell><entity1 resource="r3"/><entity2 resource="t3"/></Cell></r>'
                       .encode(encoding))
         assert b.read_bytes()[:2] == b"\xff\xfe"
+        result = runner.invoke(main, [
+            "table", "--reference", ref,
+            "--alignment", f"S1={a}", "--alignment", f"S2={b}",
+        ])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[1:] == ["S1\t0\t1", "S2\t1\t0"]
+
+    def test_one_line_xml_with_a_tab_after_its_declaration(self, runner, tmp_path):
+        ref = write(tmp_path, "ref.tsv", REF)
+        a = write(tmp_path, "a.tsv", SYS_A)
+        b = write(tmp_path, "b.xml", '<?xml version="1.0"?>\t<r>'
+                  '<Cell><entity1 resource="r2"/><entity2 resource="t2"/></Cell>'
+                  '<Cell><entity1 resource="r3"/><entity2 resource="t3"/></Cell></r>')
         result = runner.invoke(main, [
             "table", "--reference", ref,
             "--alignment", f"S1={a}", "--alignment", f"S2={b}",

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from alignsig.errors import (
     AlignsigError,
-    BadMeasure,
-    ConfidenceOutOfRange,
+    BadConfidence,
     DuplicateId,
     MalformedLine,
     MissingEntity,
@@ -16,6 +15,7 @@ from alignsig.errors import (
     XmlSyntax,
 )
 from alignsig.ingest import (
+    parse_alignment,
     parse_alignment_tsv,
     parse_alignment_xml,
     parse_label_list,
@@ -58,8 +58,9 @@ class TestTsvParsing:
         assert exc.value.line_no == 1
 
     def test_confidence_out_of_range(self):
-        with pytest.raises(ConfidenceOutOfRange):
-            parse_alignment_tsv(b"a\tb\t=\t1.5\n", "s")
+        with pytest.raises(BadConfidence) as exc:
+            parse_alignment_tsv(b"a\tb\t=\t0.5\nc\td\t=\t1.5\n", "s")
+        assert str(exc.value) == "line 2: confidence '1.5' is not a number in [0, 1]"
 
     def test_byte_order_mark_is_not_part_of_the_first_id(self):
         a = parse_alignment_tsv(BOM + b"a\tb\n", "s")
@@ -85,7 +86,8 @@ class TestXmlParsing:
         xml = b'<r><Cell><entity1 resource="http://x#A"/></Cell></r>'
         with pytest.raises(MissingEntity) as exc:
             parse_alignment_xml(xml, "s")
-        assert exc.value.cell_index == 0
+        assert exc.value.location == "Cell 0"
+        assert str(exc.value) == "Cell 0: missing or blank entity"
 
     @pytest.mark.parametrize("measure, text", [
         (b"<measure/>", ""),
@@ -98,10 +100,10 @@ class TestXmlParsing:
     def test_bad_measure_names_the_cell_and_the_text(self, measure, text):
         good = b'<Cell><entity1 resource="a"/><entity2 resource="b"/></Cell>'
         bad = b'<Cell><entity1 resource="c"/><entity2 resource="d"/>' + measure + b"</Cell>"
-        with pytest.raises(BadMeasure) as exc:
+        with pytest.raises(BadConfidence) as exc:
             parse_alignment_xml(b"<r>" + good + bad + b"</r>", "s")
-        assert (exc.value.cell_index, exc.value.text) == (1, text)
-        assert str(exc.value).startswith(f"Cell 1: measure {text!r}")
+        assert (exc.value.location, exc.value.text) == ("Cell 1", text)
+        assert str(exc.value).startswith(f"Cell 1: confidence {text!r}")
 
     def test_byte_order_mark_before_the_document(self):
         a = parse_alignment_xml(BOM + ALIGNMENT_XML, "s")
@@ -141,21 +143,39 @@ class TestParserChecks:
                 == {("a", "b"): 1.0})
 
     def test_rejects_empty_id_after_trim(self):
-        with pytest.raises(MalformedLine) as exc:
+        with pytest.raises(MissingEntity) as exc:
             parse_alignment_tsv(b"a\tb\n  \tc\n", "s")
-        assert exc.value.line_no == 2
-        with pytest.raises(MissingEntity):
+        assert exc.value.location == "line 2"
+        with pytest.raises(MissingEntity) as exc:
             parse_alignment_xml(
                 xml_cells(b'<entity1 resource="a"/><entity2 resource="&#9; "/>'), "s")
+        assert exc.value.location == "Cell 0"
 
     @pytest.mark.parametrize("confidence", [b"1.5", b"-0.1", b"inf"])
     def test_rejects_out_of_range_confidence(self, confidence):
-        with pytest.raises(ConfidenceOutOfRange):
+        with pytest.raises(BadConfidence) as exc:
             parse_alignment_tsv(b"a\tb\t=\t" + confidence + b"\n", "s")
-        with pytest.raises(BadMeasure):
+        assert (exc.value.location, exc.value.text) == ("line 1", confidence.decode())
+        with pytest.raises(BadConfidence) as exc:
             parse_alignment_xml(xml_cells(
                 b'<entity1 resource="a"/><entity2 resource="b"/><measure>'
                 + confidence + b"</measure>"), "s")
+        assert (exc.value.location, exc.value.text) == ("Cell 0", confidence.decode())
+
+    def test_absent_or_blank_relation_is_an_equivalence(self):
+        tsv = [parse_alignment_tsv(b"a\tb" + tail + b"\n", "s").pairs
+               for tail in (b"", b"\t", b"\t ", b"\t\t0.5")]
+        xml = [parse_alignment_xml(xml_cells(
+            b'<entity1 resource="a"/><entity2 resource="b"/>' + relation), "s").pairs
+            for relation in (b"", b"<relation/>", b"<relation> </relation>")]
+        assert tsv == [{("a", "b"): 1.0}] * 3 + [{("a", "b"): 0.5}]
+        assert xml == [{("a", "b"): 1.0}] * 3
+
+    @pytest.mark.parametrize("confidence", [b"", b" ", b"high"])
+    def test_present_confidence_must_be_a_number(self, confidence):
+        with pytest.raises(BadConfidence) as exc:
+            parse_alignment_tsv(b"a\tb\t=\t" + confidence + b"\n", "s")
+        assert (exc.value.location, exc.value.text) == ("line 1", confidence.decode().strip())
 
     def test_rejects_unsupported_relation_naming_its_line_or_cell(self):
         with pytest.raises(NonEquivalenceRelation) as exc:
@@ -181,8 +201,10 @@ class TestLabelList:
         assert t.rows == (("m1", "trigeminal nerve"),)
 
     def test_duplicate_id(self):
-        with pytest.raises(DuplicateId):
-            parse_label_list(b"m1\tx\nm1\ty\n")
+        with pytest.raises(DuplicateId) as exc:
+            parse_label_list(b"m1\tx\nm2\ty\nm1\tz\n")
+        assert (exc.value.line_no, exc.value.id) == (3, "m1")
+        assert str(exc.value) == "line 3: duplicate id 'm1'"
 
     def test_empty(self):
         assert len(parse_label_list(b"")) == 0
@@ -243,6 +265,27 @@ class TestWideEncodings:
             parse_alignment_xml(b'<?xml version="1.0" encoding="UTF-16-BE"?><r/>', "s")
 
 
+class TestFormatChoice:
+    """parse_alignment reads a file as XML or TSV by how it opens."""
+
+    CELL = b'<r><Cell><entity1 resource="a"/><entity2 resource="b"/></Cell></r>'
+
+    @pytest.mark.parametrize("opening", [
+        b"", b'<?xml version="1.0"?>\t', b"<!-- a\tb -->", b'<!DOCTYPE r>\t',
+        BOM + b" \n<!-- a\tb -->",
+    ])
+    def test_xml(self, opening):
+        assert parse_alignment(opening + self.CELL, "s").pairs == {("a", "b"): 1.0}
+
+    def test_wide_byte_order_mark_is_xml(self):
+        data = ('<?xml version="1.0"?>\t' + self.CELL.decode()).encode("utf-16")
+        assert parse_alignment(data, "s").pairs == {("a", "b"): 1.0}
+
+    @pytest.mark.parametrize("data", [b"<a>\t<b>\n", BOM + b"  <a>\t<b>\t=\t1\n"])
+    def test_bracketed_iri_with_a_tab_is_tsv(self, data):
+        assert parse_alignment(data, "s").pairs == {("<a>", "<b>"): 1.0}
+
+
 class TestWriting:
     def test_minimal_confidence_digits(self):
         a = canonicalize_alignment([("a", "b", 1.0)], "s")
@@ -272,41 +315,73 @@ def test_tsv_round_trip_is_identity(raw):
     assert parse_alignment_tsv(write_alignment_tsv(a), "s") == a
 
 
-# ids padded with spaces and tabs, drawn from few values so that keys repeat
-_PADDED_IDS = st.tuples(
-    st.text(alphabet=" \t", max_size=2),
-    st.sampled_from(["a", "b", "é", "a&b", '<"q">', "c#d"]),
-    st.text(alphabet=" \t", max_size=2),
-).map("".join)
-_PADDED_ROWS = st.lists(st.tuples(_PADDED_IDS, _PADDED_IDS, st.floats(0, 1)), max_size=30)
+# ids padded with spaces and tabs, drawn from few values so that keys repeat;
+# a target may be blank but a source never is, so that no TSV line is blank
+_IDS = ["a", "b", "é", "a&b", '<"q">', "c#d"]
+
+
+def _padded(ids):
+    pad = st.text(alphabet=" \t", max_size=2)
+    return st.tuples(pad, st.sampled_from(ids), pad).map("".join)
+
+
+# None is an absent field; every present relation is an equivalence
+_RELATIONS = st.sampled_from([None, "", " ", "=", " = "])
+# (text, value): a text of None is absent, a value of None marks a text to reject
+_CONFIDENCES = st.one_of(
+    st.just((None, 1.0)),
+    st.floats(0, 1).map(lambda c: (repr(c), c)),
+    st.sampled_from(["", " ", "high", "1.5", "-0.1", "nan", "inf"]).map(lambda t: (t, None)),
+)
+_ROWS = st.lists(
+    st.tuples(_padded(_IDS), _padded(_IDS + [""]), _RELATIONS, _CONFIDENCES), max_size=30)
 
 
 def _as_tsv(rows) -> bytes:
-    # a tab would split a TSV field, so TSV ids are padded with spaces only
-    def pad(id_):
-        return id_.replace("\t", " ")
-    return "".join(f"{pad(s)}\t{pad(t)}\t=\t{c!r}\n" for s, t, c in rows).encode()
+    # a tab would split a TSV field, so TSV ids are padded with spaces only; a
+    # confidence needs a relation field before it, and a blank one stands in
+    lines = []
+    for s, t, relation, (confidence, _) in rows:
+        fields = [s.replace("\t", " "), t.replace("\t", " ")]
+        if relation is not None or confidence is not None:
+            fields.append(relation or "")
+        if confidence is not None:
+            fields.append(confidence)
+        lines.append("\t".join(fields) + "\n")
+    return "".join(lines).encode()
 
 
 def _as_xml(rows) -> bytes:
     cells = "".join(
         f"<Cell><entity1 rdf:resource={quoteattr(s)}/><entity2 rdf:resource={quoteattr(t)}/>"
-        f'<measure rdf:datatype="xsd:float">{c!r}</measure><relation>=</relation></Cell>'
-        for s, t, c in rows)
+        + ("" if c is None else f'<measure rdf:datatype="xsd:float">{c}</measure>')
+        + ("" if r is None else f"<relation>{r}</relation>") + "</Cell>"
+        for s, t, r, (c, _) in rows)
     return ('<?xml version="1.0"?>'
             '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" '
             'xmlns="http://knowledgeweb.semanticweb.org/heterogeneity/alignment">'
             f"<Alignment><map>{cells}</map></Alignment></rdf:RDF>").encode()
 
 
-@given(_PADDED_ROWS)
+@given(_ROWS)
 def test_both_parsers_equal_a_max_by_key_reduction(rows):
-    expected = {}
-    for s, t, c in rows:
+    # both parsers check a row's confidence before its entities
+    expected, error = {}, None
+    for k, (s, t, _, (_, c)) in enumerate(rows):
+        if c is None or not t.strip():
+            error = (BadConfidence if c is None else MissingEntity, k)
+            break
         key = (s.strip(), t.strip())
         expected[key] = max(expected.get(key, c), c)
-    assert parse_alignment_tsv(_as_tsv(rows), "s").pairs == expected
-    assert parse_alignment_xml(_as_xml(rows), "s").pairs == expected
+    for parse, data, location in ((parse_alignment_tsv, _as_tsv(rows), "line {}"),
+                                  (parse_alignment_xml, _as_xml(rows), "Cell {}")):
+        if error is None:
+            assert parse(data, "s").pairs == expected
+            continue
+        with pytest.raises(error[0]) as exc:
+            parse(data, "s")
+        # TSV lines count from 1, XML Cells from 0
+        assert exc.value.location == location.format(error[1] + (parse is parse_alignment_tsv))
 
 
 # fragments of both formats, so that generated inputs get past the first check
@@ -329,7 +404,8 @@ _BYTES = st.one_of(
 @settings(max_examples=300)
 @given(_BYTES)
 def test_parsers_return_or_raise_only_alignsig_errors(data):
-    for parse in (lambda d: parse_alignment_tsv(d, "s"),
+    for parse in (lambda d: parse_alignment(d, "s"),
+                  lambda d: parse_alignment_tsv(d, "s"),
                   lambda d: parse_alignment_xml(d, "s"),
                   parse_label_list):
         try:
