@@ -146,7 +146,7 @@ def table(reference, alignments, perspective, output):
               help="Output alignment TSV path (default: stdout).")
 def match(source, target, metric, threshold, system_name, output):
     """Match two concept-label lists with a string metric + optimal assignment."""
-    from . import matcher  # numpy, and scipy's solver, load only for matching
+    from . import matcher  # numpy loads only for matching
 
     kind = MetricKind(metric)
     try:

@@ -78,7 +78,9 @@ def _confidence(text: str | None, where: str, number: int) -> float:
     if text is None:
         return 1.0
     try:
-        value = float(text)
+        # float() would also read digit separators ("0.1_5") and non-ASCII
+        # digits ("０.５")
+        value = float(text) if text.isascii() and "_" not in text else -1.0
     except ValueError:
         value = -1.0
     if not 0.0 <= value <= 1.0:

@@ -2,7 +2,9 @@
 
 Labels are normalized once (case-fold, underscore/hyphen to space, collapsed
 whitespace), a dense similarity matrix is built, and the best one-to-one
-matching is extracted with the Hungarian method.  Each metric has one builder
+matching is extracted by Crouse's shortest augmenting path (Crouse 2016), the
+algorithm of scipy's `linear_sum_assignment`, ported to numpy so that the
+pairs are scipy's and scipy is not needed.  Each metric has one builder
 of the whole matrix: Levenshtein's is a bit-parallel kernel over all label
 pairs (Myers 1999; Hyyrö 2003); the other eight call their scalar function on
 each pair.
@@ -353,18 +355,88 @@ def build_similarity_matrix(
     )
 
 
+def _assign_rows(s: np.ndarray) -> List[int]:
+    """The column of each row in scipy's optimal assignment of a matrix with
+    rows <= cols: its rectangular shortest augmenting path, in numpy.
+
+    The cost is -s.  Each row in turn runs a Dijkstra search over reduced
+    costs to the nearest unassigned column, then the row duals u and column
+    duals v move so that no reduced cost goes negative.  The floats and the
+    ties are scipy's, so the pairs are the same, not only the total: a
+    reduced cost is ((min_val - s) - u) - v, as min_val + (-s) is exactly
+    min_val - s, and of the columns at the minimum the search takes the last
+    unassigned one in scipy's `remaining` order, else the first.
+    `remaining` starts as cols-1 ... 0, and a taken column is replaced by the
+    last one.  Every step works on the full row, taken columns included.
+    """
+    n_rows, n_cols = s.shape
+    u, v = np.zeros(n_rows), np.zeros(n_cols)
+    col4row = [-1] * n_rows
+    row4col = np.full(n_cols, -1, dtype=np.intp)
+    start = np.arange(n_cols - 1, -1, -1)
+    r, at_min = np.empty(n_cols), np.empty(n_cols, dtype=bool)
+    for row in range(n_rows):
+        remaining, pos = start.copy(), start.copy()
+        # tie rank: the unassigned columns above the assigned ones, the former
+        # rising and the latter falling with the position in `remaining`
+        rank = np.where(row4col < 0, n_cols + start, -1 - start)
+        dist = np.full(n_cols, np.inf)
+        # -inf on taken columns, so that their dist stays +inf
+        v_open = v.copy()
+        min_val, i = 0.0, row
+        # scanned[k] is scanned at mins[k] and yields taken[k]
+        scanned, mins, taken = [], [], []
+        while i >= 0:
+            scanned.append(i)
+            mins.append(min_val)
+            np.subtract(min_val, s[i], out=r)
+            r -= u[i]
+            r -= v_open
+            np.minimum(dist, r, out=dist)
+            min_val = dist[dist.argmin()]
+            ties = np.equal(dist, min_val, out=at_min).nonzero()[0]
+            j = int(ties[rank[ties].argmax()] if len(ties) > 1 else ties[0])
+            taken.append(j)
+            dist[j], v_open[j] = np.inf, -np.inf
+            p, last = pos[j], remaining[n_cols - len(taken)]
+            remaining[p], pos[last] = last, p
+            rank[last] = n_cols + p if rank[last] >= n_cols else -1 - p
+            i = int(row4col[j])
+        scanned_a, mins_a = np.array(scanned), np.array(mins)
+        # augment along the path back from the unassigned column: taken[k]
+        # came from the first of scanned[:k + 1] that gave it its least dist
+        k = len(taken) - 1
+        while True:
+            j, rows = taken[k], scanned_a[:k + 1]
+            t = int((((mins_a[:k + 1] - s[rows, j]) - u[rows]) - v[j]).argmin())
+            row4col[j], col4row[scanned[t]] = scanned[t], j
+            if t == 0:
+                break
+            k = t - 1
+        # the duals move by min_val less the dist at which each column was
+        # taken, which is the next scan's mins entry
+        gap = min_val - np.append(mins_a[1:], min_val)
+        u[row] += min_val
+        u[scanned_a[1:]] += gap[:-1]
+        v[taken] -= gap
+    return col4row
+
+
 def hungarian_assign(sim: SimilarityMatrix) -> List[Tuple[int, int]]:
     """Optimal maximum-total-similarity one-to-one assignment.
 
-    Rectangular matrices are handled directly; min(rows, cols) pairs are
+    Crouse's shortest augmenting path (Crouse 2016, IEEE TAES 52(4)), the
+    algorithm of scipy's `linear_sum_assignment`, with the same pairs as
+    `linear_sum_assignment(sim.s, maximize=True)`.  min(rows, cols) pairs are
     returned, sorted by row index.
     """
-    # imported here: scipy takes most of the CLI's start-up time, and only
-    # `match` reaches this function
-    from scipy.optimize import linear_sum_assignment
-
-    rows, cols = linear_sum_assignment(sim.s, maximize=True)
-    return sorted(zip(rows.tolist(), cols.tolist()))
+    s = np.asarray(sim.s, dtype=float)
+    if not np.isfinite(s).all():
+        raise ValueError("similarity matrix has a non-finite entry")
+    if s.shape[0] > s.shape[1]:
+        # scipy solves a tall matrix as its transpose
+        return sorted((i, j) for j, i in enumerate(_assign_rows(np.ascontiguousarray(s.T))))
+    return list(enumerate(_assign_rows(np.ascontiguousarray(s))))
 
 
 def _check_threshold(threshold: float) -> None:

@@ -478,19 +478,24 @@ finally:
 """
 
 
-def run_fresh(*args):
-    """(exit code, heavy modules loaded) of the CLI in a fresh interpreter."""
+def fresh_cli(*args, prelude=""):
+    """The CLI run on `args` in a fresh interpreter, after the code `prelude`."""
     src = str(Path(alignsig.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", FRESH_CLI, *args],
+    return subprocess.run([sys.executable, "-c", prelude + FRESH_CLI, *args],
                           env=env, capture_output=True, text=True)
+
+
+def run_fresh(*args):
+    """(exit code, heavy modules loaded) of the CLI in a fresh interpreter."""
+    done = fresh_cli(*args)
     return done.returncode, done.stderr.splitlines()[-1]
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # numpy and scipy serve only `match`, and xml.etree only XML
-    # alignments; loading them would slow every command
+    # numpy serves only `match`, and xml.etree only XML alignments; loading
+    # them, or scipy, would slow every command
     assert run_fresh("--help") == (0, "[]")
 
 
@@ -509,8 +514,20 @@ def test_counting_tsv_alignments_loads_no_numpy(tmp_path, command):
                      "--alignment", f"S2={b}") == (0, "[]")
 
 
-def test_match_loads_numpy_and_scipy(tmp_path):
+def test_match_loads_numpy_only(tmp_path):
     labels = write(tmp_path, "labels.tsv", LABELS)
     code, loaded = run_fresh("match", "--source", labels, "--target", labels,
                              "--metric", "levenshtein")
-    assert (code, loaded) == (0, "['numpy', 'scipy']")
+    assert (code, loaded) == (0, "['numpy']")
+
+
+def test_match_runs_where_scipy_cannot_be_imported(tmp_path):
+    # a None entry in sys.modules makes every import of scipy fail; s1 and s2
+    # tie for t2 and t4, and the pairs are those scipy's solver chose
+    source = write(tmp_path, "source.tsv", "s1\teye\ns2\tEye\ns3\tear\n")
+    target = write(tmp_path, "target.tsv", "t1\teyes\nt2\teye\nt3\tears\nt4\tEYE\n")
+    done = fresh_cli("match", "--source", source, "--target", target,
+                     "--metric", "levenshtein",
+                     prelude="import sys\nsys.modules['scipy'] = None\n")
+    assert (done.returncode, done.stdout) == (
+        0, "s1\tt2\t=\t1\ns2\tt4\t=\t1\ns3\tt3\t=\t0.75\n")

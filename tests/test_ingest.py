@@ -177,6 +177,26 @@ class TestParserChecks:
             parse_alignment_tsv(b"a\tb\t=\t" + confidence + b"\n", "s")
         assert (exc.value.location, exc.value.text) == ("line 1", confidence.decode().strip())
 
+    @pytest.mark.parametrize("confidence", ["0.1_5", "０.５"])
+    def test_rejects_what_only_python_reads_as_a_number(self, confidence):
+        # float() reads "0.1_5" as 0.15 and the full-width "０.５" as 0.5
+        with pytest.raises(BadConfidence) as exc:
+            parse_alignment_tsv(f"a\tb\t=\t{confidence}\n".encode(), "s")
+        assert (exc.value.location, exc.value.text) == ("line 1", confidence)
+        with pytest.raises(BadConfidence) as exc:
+            parse_alignment_xml(xml_cells(
+                b'<entity1 resource="a"/><entity2 resource="b"/><measure>'
+                + confidence.encode() + b"</measure>"), "s")
+        assert (exc.value.location, exc.value.text) == ("Cell 0", confidence)
+
+    @pytest.mark.parametrize("confidence", [" 0.5 ", "5e-1"])
+    def test_padded_and_exponent_confidences_are_read(self, confidence):
+        tsv = parse_alignment_tsv(f"a\tb\t=\t{confidence}\n".encode(), "s")
+        xml = parse_alignment_xml(xml_cells(
+            b'<entity1 resource="a"/><entity2 resource="b"/><measure>'
+            + confidence.encode() + b"</measure>"), "s")
+        assert tsv.pairs == xml.pairs == {("a", "b"): 0.5}
+
     def test_rejects_unsupported_relation_naming_its_line_or_cell(self):
         with pytest.raises(NonEquivalenceRelation) as exc:
             parse_alignment_tsv(b"a\tb\t=\nc\td\t<\t0.5\n", "s")

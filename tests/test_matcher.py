@@ -6,6 +6,8 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
 from alignsig import matcher
 from alignsig.errors import EmptyTable
@@ -334,6 +336,53 @@ class TestHungarian:
             assert len(pairs) == min(rows, cols)
             total = sum(s[i, j] for i, j in pairs)
             assert total == pytest.approx(brute_force_max(s), abs=1e-9)
+
+
+def scipy_pairs(s):
+    """The oracle: scipy's solver, whose pairs hungarian_assign must reproduce."""
+    rows, cols = linear_sum_assignment(s, maximize=True)
+    return sorted(zip(rows.tolist(), cols.tolist()))
+
+
+def index_matrix(s):
+    return SimilarityMatrix(tuple(f"r{i}" for i in range(s.shape[0])),
+                            tuple(f"c{j}" for j in range(s.shape[1])), s)
+
+
+# matrices of any similarities, or of three values, so that ties are common
+_MATRICES = st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
+    lambda shape: arrays(float, shape, elements=st.floats(0, 1))
+    | arrays(float, shape, elements=st.sampled_from([0.0, 0.5, 1.0])))
+
+
+class TestScipyOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(_MATRICES)
+    def test_same_pairs_as_scipy_in_both_orientations(self, s):
+        assert hungarian_assign(index_matrix(s)) == scipy_pairs(s)
+        assert hungarian_assign(index_matrix(s.T)) == scipy_pairs(s.T)
+
+    def test_levenshtein_label_matrix_200x200(self):
+        # anatomy-style labels over a few words, so similarities repeat a lot
+        rng = random.Random(67)
+        words = "optic nerve bone skull lobe duct vein artery gland left right".split()
+        src = [" ".join(rng.sample(words, rng.randint(1, 3))) for _ in range(200)]
+        tgt = [label.upper().replace(" ", "_") if rng.random() < 0.5
+               else " ".join(rng.sample(words, rng.randint(1, 3))) for label in src]
+        rng.shuffle(tgt)
+        sim = build_similarity_matrix(label_table("s", src), label_table("t", tgt),
+                                      MetricKind.LEVENSHTEIN)
+        assert len(np.unique(sim.s)) < 200  # ties abound
+        assert hungarian_assign(sim) == scipy_pairs(sim.s)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_matrix(self, shape):
+        assert hungarian_assign(index_matrix(np.zeros(shape))) == []
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            hungarian_assign(index_matrix(np.array([[0.5, bad]])))
 
 
 class TestExtract:
