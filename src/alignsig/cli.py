@@ -5,11 +5,11 @@ Exit codes: 0 success, 1 internal error, 2 usage/validation error.
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
 from pathlib import Path
-
-import click
 
 from . import contingency, ingest, siggraph
 from .errors import AlignsigError
@@ -20,33 +20,15 @@ from .model import ComparisonConfig, Correction, MetricKind, Mode, Perspective, 
 INPUT_ERRORS = (AlignsigError, OSError, ValueError)
 
 
-def _choice(enum, case_sensitive=True) -> click.Choice:
-    """The enum's values, sorted, as the values an option accepts."""
-    return click.Choice(sorted(member.value for member in enum), case_sensitive=case_sensitive)
-
-
-perspective_option = click.option("--perspective", type=_choice(Perspective), default="ifp")
-
-
-def _parse_alignment_args(specs) -> list:
-    alignments = []
-    for spec in specs:
-        if "=" not in spec:
-            raise click.UsageError(f"--alignment must be name=path, got {spec!r}")
-        name, _, path = spec.partition("=")
-        alignments.append(ingest.parse_alignment(Path(path).read_bytes(), name))
-    return alignments
-
-
 def _fail_validation(exc: Exception | str):
-    click.echo(f"error: {exc}", err=True)
+    print(f"error: {exc}", file=sys.stderr)
     sys.exit(2)
 
 
 def _write(path: Path | None, data: bytes) -> None:
     """Write an output file, or stdout when no path is given."""
     if path is None:
-        click.echo(data.decode("utf-8"), nl=False)
+        sys.stdout.write(data.decode("utf-8"))
         return
     try:
         path.write_bytes(data)
@@ -54,118 +36,72 @@ def _write(path: Path | None, data: bytes) -> None:
         _fail_validation(exc)
 
 
-@click.group()
-def main():
-    """Statistical comparison of alignment systems on one matching task."""
-
-
-@main.command()
-@click.option("--reference", type=click.Path(exists=True, path_type=Path))
-@click.option("--alignment", "alignments", multiple=True,
-              help="name=path; repeat for each system (>=2).")
-@click.option("--matrix", type=click.Path(exists=True, path_type=Path),
-              help="Pre-built discordant matrix TSV (alternative to alignments).")
-@perspective_option
-@click.option("--test", "test_name", type=_choice(TestKind),
-              default=ComparisonConfig.test.value)
-@click.option("--correction", type=_choice(Correction), default=None)
-@click.option("--mode", type=_choice(Mode), default=ComparisonConfig.mode.value)
-@click.option("--baseline", default=None, help="Baseline system name (nx1 mode).")
-@click.option("--alpha", type=float, default=ComparisonConfig.alpha, show_default=True)
-@click.option("--bergmann-cap", type=int, default=ComparisonConfig.bergmann_cap,
-              show_default=True, help="Max systems for Bergmann's correction.")
-@click.option("--dot", "dot_out", type=click.Path(path_type=Path),
-              help="Write the significance digraph as DOT.")
-@click.option("--report", "report_out", type=click.Path(path_type=Path),
-              help="Write the JSON comparison report.")
-def compare(reference, alignments, matrix, perspective, test_name, correction,
-            mode, baseline, alpha, bergmann_cap, dot_out, report_out):
-    """Pairwise McNemar comparison with FWER correction; emits DOT + report."""
-    try:
-        cfg = ComparisonConfig(
-            test=TestKind(test_name),
-            correction=None if correction is None else Correction(correction),
-            mode=Mode(mode),
-            baseline=baseline,
-            alpha=alpha,
-            bergmann_cap=bergmann_cap,
-        )
-        m = _resolve_matrix(reference, alignments, matrix, Perspective(perspective))
-        graph = siggraph.build_graph(m, cfg)
-    except INPUT_ERRORS as exc:
-        _fail_validation(exc)
-    if dot_out:
-        _write(dot_out, siggraph.emit_dot(graph))
-    if report_out:
-        _write(report_out, siggraph.serialize_report(siggraph.build_report(graph)))
-    for group in siggraph.rank_systems(graph):
-        click.echo(" & ".join(group))
-
-
-def _resolve_matrix(reference, alignments, matrix, persp):
+def _discordant_matrix(args, matrix: Path | None = None):
+    """The matrix read from `matrix`, or counted from --reference and the --alignment specs."""
+    persp = Perspective(args.perspective)
     if matrix is not None:
-        if reference is not None or alignments:
-            raise click.UsageError("give either --matrix or --reference/--alignment, not both")
+        if args.reference is not None or args.alignments:
+            raise ValueError("give either --matrix or --reference/--alignment, not both")
         return contingency.parse_matrix_tsv(matrix.read_bytes(), persp)
-    if reference is None or len(alignments) < 2:
-        raise click.UsageError(
-            "provide either --matrix or --reference plus >=2 --alignment entries"
-        )
-    ref = ingest.parse_alignment(reference.read_bytes(), "reference")
-    systems = _parse_alignment_args(alignments)
+    if args.reference is None or len(args.alignments) < 2:
+        raise ValueError("provide either --matrix or --reference plus >=2 --alignment entries")
+    ref = ingest.parse_alignment(args.reference.read_bytes(), "reference")
+    systems = []
+    for spec in args.alignments:
+        name, eq, path = spec.partition("=")
+        if not eq:
+            raise ValueError(f"--alignment must be name=path, got {spec!r}")
+        systems.append(ingest.parse_alignment(Path(path).read_bytes(), name))
     return contingency.build_discordant_matrix(ref, systems, persp)
 
 
-@main.command()
-@click.option("--reference", type=click.Path(exists=True, path_type=Path), required=True)
-@click.option("--alignment", "alignments", multiple=True, required=True,
-              help="name=path; repeat for each system (>=2).")
-@perspective_option
-@click.option("--output", type=click.Path(path_type=Path), default=None,
-              help="Output TSV path (default: stdout).")
-def table(reference, alignments, perspective, output):
+def compare(args):
+    """Pairwise McNemar comparison with FWER correction; emits DOT + report."""
+    try:
+        cfg = ComparisonConfig(
+            test=TestKind(args.test), mode=Mode(args.mode), baseline=args.baseline,
+            correction=None if args.correction is None else Correction(args.correction),
+            alpha=args.alpha, bergmann_cap=args.bergmann_cap)
+        graph = siggraph.build_graph(_discordant_matrix(args, args.matrix), cfg)
+    except INPUT_ERRORS as exc:
+        _fail_validation(exc)
+    if args.dot:
+        _write(args.dot, siggraph.emit_dot(graph))
+    if args.report:
+        _write(args.report, siggraph.serialize_report(siggraph.build_report(graph)))
+    for group in siggraph.rank_systems(graph):
+        print(" & ".join(group))
+
+
+def table(args):
     """Emit the all-pairs discordant matrix as TSV."""
     try:
-        ref = ingest.parse_alignment(reference.read_bytes(), "reference")
-        systems = _parse_alignment_args(alignments)
-        m = contingency.build_discordant_matrix(ref, systems, Perspective(perspective))
+        m = _discordant_matrix(args)
     except INPUT_ERRORS as exc:
         _fail_validation(exc)
-    _write(output, contingency.write_matrix_tsv(m))
+    _write(args.output, contingency.write_matrix_tsv(m))
 
 
-@main.command()
-@click.option("--source", type=click.Path(exists=True, path_type=Path), required=True)
-@click.option("--target", type=click.Path(exists=True, path_type=Path), required=True)
-@click.option("--metric", type=_choice(MetricKind, case_sensitive=False),
-              required=True)
-@click.option("--threshold", type=float, default=0.0, show_default=True)
-@click.option("--name", "system_name", default=None,
-              help="System name recorded in the output (default: the metric).")
-@click.option("--output", type=click.Path(path_type=Path), default=None,
-              help="Output alignment TSV path (default: stdout).")
-def match(source, target, metric, threshold, system_name, output):
+def match(args):
     """Match two concept-label lists with a string metric + optimal assignment."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # spares an idle OpenBLAS pool
     from . import matcher  # numpy loads only for matching
 
-    kind = MetricKind(metric)
+    kind = MetricKind(args.metric)
     try:
-        src = ingest.parse_label_list(source.read_bytes())
-        tgt = ingest.parse_label_list(target.read_bytes())
-        alignment = matcher.match(src, tgt, kind, threshold, system_name or kind.value)
+        src = ingest.parse_label_list(args.source.read_bytes())
+        tgt = ingest.parse_label_list(args.target.read_bytes())
+        alignment = matcher.match(src, tgt, kind, args.threshold, args.name or kind.value)
     except INPUT_ERRORS as exc:
         _fail_validation(exc)
-    _write(output, ingest.write_alignment_tsv(alignment))
+    _write(args.output, ingest.write_alignment_tsv(alignment))
 
 
-@main.command()
-@click.option("--report", "report_path", type=click.Path(exists=True, path_type=Path),
-              required=True, help="JSON report produced by `compare`.")
-def rank(report_path):
+def rank(args):
     """Print rank groups from a comparison report, one '&'-joined row per group."""
     try:
         # JSONDecodeError and UnicodeDecodeError are ValueErrors
-        report = json.loads(report_path.read_text("utf-8"))
+        report = json.loads(args.report.read_text("utf-8"))
     except (OSError, ValueError) as exc:
         _fail_validation(exc)
     groups = report.get("ranking") if isinstance(report, dict) else None
@@ -174,8 +110,72 @@ def rank(report_path):
             for group in groups)):
         _fail_validation("report holds no 'ranking' list of system-name lists")
     for group in groups:
-        click.echo(" & ".join(group))
+        print(" & ".join(group))
 
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="alignsig", allow_abbrev=False, description=(
+        "Statistical comparison of alignment systems on one matching task."))
+    commands = parser.add_subparsers(required=True, metavar="COMMAND")
+
+    def command(run):
+        sub = commands.add_parser(run.__name__, help=run.__doc__, description=run.__doc__,
+                                  allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub.add_argument
+
+    def choices_of(enum) -> list:  # the enum's values, sorted
+        return sorted(member.value for member in enum)
+
+    systems = "name=path; repeat for each system (>=2)."
+    option = command(compare)
+    option("--reference", type=Path)
+    option("--alignment", dest="alignments", action="append", default=[], help=systems)
+    option("--matrix", type=Path,
+           help="Pre-built discordant matrix TSV (alternative to alignments).")
+    option("--perspective", choices=choices_of(Perspective), default=Perspective.IFP.value)
+    option("--test", choices=choices_of(TestKind), default=ComparisonConfig.test.value)
+    option("--correction", choices=choices_of(Correction))
+    option("--mode", choices=choices_of(Mode), default=ComparisonConfig.mode.value)
+    option("--baseline", help="Baseline system name (nx1 mode).")
+    option("--alpha", type=float, default=ComparisonConfig.alpha, help="(default: %(default)s)")
+    option("--bergmann-cap", type=int, default=ComparisonConfig.bergmann_cap,
+           help="Max systems for Bergmann's correction. (default: %(default)s)")
+    option("--dot", type=Path, help="Write the significance digraph as DOT.")
+    option("--report", type=Path, help="Write the JSON comparison report.")
+
+    option = command(table)
+    option("--reference", type=Path, required=True)
+    option("--alignment", dest="alignments", action="append", required=True, help=systems)
+    option("--perspective", choices=choices_of(Perspective), default=Perspective.IFP.value)
+    option("--output", type=Path, help="Output TSV path (default: stdout).")
+
+    option = command(match)
+    option("--source", type=Path, required=True)
+    option("--target", type=Path, required=True)
+    # casefold before the choice check: metric names are case-insensitive
+    option("--metric", type=str.casefold, choices=choices_of(MetricKind), required=True)
+    option("--threshold", type=float, default=0.0, help="(default: %(default)s)")
+    option("--name", help="System name recorded in the output (default: the metric).")
+    option("--output", type=Path, help="Output alignment TSV path (default: stdout).")
+
+    command(rank)("--report", type=Path, required=True, help="JSON report produced by `compare`.")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run the subcommand `argv` names (default: sys.argv[1:]); failures raise SystemExit."""
+    args = _parser().parse_args(argv)
+    try:
+        args.run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout: exit 1 without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+
+
+#: Only for perfbench/traced_cli.py, which calls click's `main.main(args=..., ...)`.
+main.main = lambda args, **_: main(args)
 
 if __name__ == "__main__":
     main()

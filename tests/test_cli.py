@@ -3,9 +3,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 import alignsig
 from alignsig import siggraph
@@ -20,8 +20,28 @@ LABELS = "m1\toptic nerve\nm2\tretina\nm3\tlens\n"
 
 
 @pytest.fixture
-def runner():
-    return CliRunner()
+def runner(capsys, monkeypatch):
+    """Runs a CLI entry point in-process: `runner.invoke(main, args)`.
+
+    The result holds the exit code, stdout and stderr joined as `output`, and
+    the SystemExit that ended a failing run (None on exit 0). Any other
+    exception propagates and fails the test.
+    """
+    # `match` sets OPENBLAS_NUM_THREADS when it is unset; restore it after the test
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+
+    def invoke(entry, args):
+        exception = None
+        try:
+            entry(args)
+        except SystemExit as exc:
+            exception = exc if exc.code else None
+        out, err = capsys.readouterr()
+        return SimpleNamespace(exit_code=exception.code if exception else 0,
+                               output=out + err, exception=exception)
+
+    return SimpleNamespace(invoke=invoke)
 
 
 def write(tmp_path, name, text):
@@ -464,6 +484,45 @@ def test_outputs_byte_identical_across_runs(runner, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_abbreviated_option_exits_2(runner):
+    # --ref is not read as --reference
+    result = runner.invoke(main, ["compare", "--ref", str(fixture_path("anatomy-ifp"))])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "--ref" in result.output
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_match_sets_openblas_threads_unless_set(runner, monkeypatch, tmp_path, preset, expected):
+    if preset is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    labels = write(tmp_path, "labels.tsv", LABELS)
+    result = runner.invoke(main, ["match", "--source", labels, "--target", labels,
+                                  "--metric", "equal"])
+    assert result.exit_code == 0, result.output
+    assert os.environ["OPENBLAS_NUM_THREADS"] == expected
+
+
+class TestEntryPoint:
+    """`main.main(args=..., prog_name=..., standalone_mode=...)`, the call that
+    perfbench/traced_cli.py makes."""
+
+    def test_returns_with_the_output_of_main(self, capsys):
+        args = ["compare", "--matrix", str(fixture_path("anatomy-ifp"))]
+        assert main.main(args=args, prog_name="alignsig", standalone_mode=True) is None
+        traced = capsys.readouterr()
+        main(args)
+        assert capsys.readouterr() == traced
+        assert traced.out.splitlines()[5] == "LogMapLite & LPHOM"
+
+    def test_error_raises_system_exit_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main.main(args=["compare", "--matrix", str(tmp_path / "missing.tsv")],
+                      prog_name="alignsig", standalone_mode=True)
+        assert raised.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 #: Modules that only some commands need; each costs start-up time when loaded.
 HEAVY_MODULES = ("numpy", "scipy", "xml.etree.ElementTree")
 
@@ -472,19 +531,23 @@ FRESH_CLI = f"""
 import sys
 from alignsig.cli import main
 try:
-    main.main(args=sys.argv[1:], prog_name="alignsig")
+    main(sys.argv[1:])
 finally:
     print([m for m in {HEAVY_MODULES!r} if m in sys.modules], file=sys.stderr)
 """
 
 
+def fresh_env():
+    """The environment of a fresh interpreter that imports this alignsig."""
+    src = str(Path(alignsig.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def fresh_cli(*args, prelude=""):
     """The CLI run on `args` in a fresh interpreter, after the code `prelude`."""
-    src = str(Path(alignsig.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-c", prelude + FRESH_CLI, *args],
-                          env=env, capture_output=True, text=True)
+                          env=fresh_env(), capture_output=True, text=True)
 
 
 def run_fresh(*args):
@@ -531,3 +594,26 @@ def test_match_runs_where_scipy_cannot_be_imported(tmp_path):
                      prelude="import sys\nsys.modules['scipy'] = None\n")
     assert (done.returncode, done.stdout) == (
         0, "s1\tt2\t=\t1\ns2\tt4\t=\t1\ns3\tt3\t=\t0.75\n")
+
+
+def test_cli_runs_where_click_cannot_be_imported():
+    done = fresh_cli("compare", "--matrix", str(fixture_path("anatomy-ifp")),
+                     prelude="import sys\nsys.modules['click'] = None\n")
+    golden = json.loads((Path(__file__).parent / "golden" / "anatomy_ifp_bergmann.json")
+                        .read_text())
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [" & ".join(group) for group in golden["ranking"]]
+
+
+@pytest.mark.parametrize("report, code, stderr", [
+    ([], 1, ""),  # the ranking itself meets the closed pipe
+    (["--report", "/dev/stdout"], 2, "error: [Errno 32] Broken pipe\n"),
+], ids=["ranking", "report"])
+def test_closed_stdout_exits_without_a_traceback(report, code, stderr):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "alignsig.cli", "compare",
+         "--matrix", str(fixture_path("anatomy-ifp")), *report],
+        env=fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()  # before the CLI writes anything
+    _, err = proc.communicate()
+    assert (proc.returncode, err) == (code, stderr)
