@@ -27,13 +27,18 @@ def _fail_validation(exc: Exception | str):
 
 def _write(path: Path | None, data: bytes) -> None:
     """Write an output file, or stdout when no path is given."""
-    if path is None:
-        sys.stdout.write(data.decode("utf-8"))
+    if path is None:  # the same UTF-8 bytes, whatever stdout's encoding
+        sys.stdout.buffer.write(data)
         return
     try:
         path.write_bytes(data)
     except OSError as exc:  # a directory, a missing parent, no permission
         _fail_validation(exc)
+
+
+def _ranking(groups) -> bytes:
+    """One '&'-joined line per rank group."""
+    return "".join(" & ".join(group) + "\n" for group in groups).encode("utf-8")
 
 
 def _discordant_matrix(args, matrix: Path | None = None):
@@ -69,8 +74,7 @@ def compare(args):
         _write(args.dot, siggraph.emit_dot(graph))
     if args.report:
         _write(args.report, siggraph.serialize_report(siggraph.build_report(graph)))
-    for group in siggraph.rank_systems(graph):
-        print(" & ".join(group))
+    _write(None, _ranking(siggraph.rank_systems(graph)))
 
 
 def table(args):
@@ -109,8 +113,7 @@ def rank(args):
             isinstance(group, list) and all(isinstance(name, str) for name in group)
             for group in groups)):
         _fail_validation("report holds no 'ranking' list of system-name lists")
-    for group in groups:
-        print(" & ".join(group))
+    _write(None, _ranking(groups))
 
 
 def _parser() -> argparse.ArgumentParser:

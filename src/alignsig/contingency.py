@@ -173,7 +173,8 @@ def parse_matrix_tsv(data: bytes, perspective: Perspective) -> DiscordantMatrix:
         if fields[0] != names[row]:
             raise MalformedLine(line_no, "row names do not match header order")
         try:
-            cells = [int(v) for v in fields[1:]]
+            # int() alone would read "1_0" as 10 and a non-ASCII "２" as 2; "x" fails it
+            cells = [int(v if v.isascii() and "_" not in v else "x") for v in fields[1:]]
         except ValueError:
             raise MalformedLine(line_no, "non-integer cell")
         if not all(v in _INT64 for v in cells):

@@ -12,8 +12,8 @@ each pair.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from difflib import SequenceMatcher
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -23,13 +23,9 @@ from .ingest import LabelTable
 from .model import Alignment, MetricKind, canonicalize_alignment  # MetricKind re-exported
 
 
-_WHITESPACE = re.compile(r"\s+")
-
-
 def normalize(raw_label: str) -> str:
     """Case-fold, map '_' and '-' to spaces, collapse whitespace, trim."""
-    text = raw_label.casefold().replace("_", " ").replace("-", " ")
-    return _WHITESPACE.sub(" ", text).strip()
+    return " ".join(raw_label.casefold().replace("_", " ").replace("-", " ").split())
 
 
 def _equal(a: str, b: str) -> float:
@@ -249,18 +245,11 @@ def _needleman_wunsch(a: str, b: str) -> float:
 
 
 def _longest_common_substring(a: str, b: str) -> Tuple[int, int, int]:
-    """(length, start_a, start_b) of one longest common substring."""
-    best = (0, 0, 0)
-    prev = [0] * (len(b) + 1)
-    for i in range(1, len(a) + 1):
-        cur = [0] * (len(b) + 1)
-        for j in range(1, len(b) + 1):
-            if a[i - 1] == b[j - 1]:
-                cur[j] = prev[j - 1] + 1
-                if cur[j] > best[0]:
-                    best = (cur[j], i - cur[j], j - cur[j])
-        prev = cur
-    return best
+    """(length, start_a, start_b) of the longest common substring that starts
+    earliest in a, then in b; (0, 0, 0) if none.  autojunk=False, as difflib
+    would otherwise ignore the characters frequent in a b of 200+ characters."""
+    m = SequenceMatcher(None, a, b, autojunk=False).find_longest_match()
+    return m.size, m.a, m.b
 
 
 def _substring(a: str, b: str) -> float:

@@ -64,17 +64,23 @@ class TestCompare:
         assert len(report["pairs"]) == 45
         assert (tmp_path / "graph.dot").read_bytes().startswith(b"digraph significance {")
 
-    def test_default_compare_writes_the_golden_files(self, runner, tmp_path):
-        golden = Path(__file__).parent / "golden"
+    @pytest.mark.parametrize("fixture, ranking", [
+        ("anatomy-ifp", ["AML", "CroMatcher", "LYAM & XMap", "FCA-Map", "Lily",
+                         "LogMapLite & LPHOM", "Alin", "DKP-AOM"]),
+        # the paper's second experiment: nine string metrics on the anatomy task
+        ("anatomy-string-ifp", ["N-gram", "Levenshtein", "NeedlemanWunsch",
+                                "Jaro & JaroWinkler", "Hamming & SMOA", "SubString", "Equal"]),
+    ], ids=["anatomy-ifp", "anatomy-string-ifp"])
+    def test_default_compare_writes_the_golden_files(self, runner, tmp_path, fixture, ranking):
+        golden = Path(__file__).parent / "golden" / f"{fixture.replace('-', '_')}_bergmann"
         result = runner.invoke(main, [
-            "compare", "--matrix", str(fixture_path("anatomy-ifp")),
+            "compare", "--matrix", str(fixture_path(fixture)),
             "--dot", str(tmp_path / "graph.dot"), "--report", str(tmp_path / "report.json"),
         ])
         assert result.exit_code == 0, result.output
-        assert ((tmp_path / "graph.dot").read_bytes()
-                == (golden / "anatomy_ifp_bergmann.dot").read_bytes())
-        assert ((tmp_path / "report.json").read_bytes()
-                == (golden / "anatomy_ifp_bergmann.json").read_bytes())
+        assert result.output.splitlines() == ranking
+        assert (tmp_path / "graph.dot").read_bytes() == golden.with_suffix(".dot").read_bytes()
+        assert (tmp_path / "report.json").read_bytes() == golden.with_suffix(".json").read_bytes()
 
     def test_one_system_matrix_needs_two_for_bergmann(self, runner, tmp_path):
         matrix = write(tmp_path, "one.tsv", "A\nA\t0\n")
@@ -603,6 +609,29 @@ def test_cli_runs_where_click_cannot_be_imported():
                         .read_text())
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [" & ".join(group) for group in golden["ranking"]]
+
+
+def test_stdout_is_utf8_whatever_its_encoding(tmp_path):
+    # a system name outside ASCII, and stdout set to ASCII
+    for name, text in [("ref.tsv", REF), ("s1.tsv", SYS_A), ("s2.tsv", SYS_B)]:
+        write(tmp_path, name, text)
+    env = {**fresh_env(), "PYTHONIOENCODING": "ascii"}
+    systems = ["--reference", "ref.tsv", "--alignment", "Σ1=s1.tsv", "--alignment", "S2=s2.tsv"]
+
+    def cli(*args):
+        return subprocess.run([sys.executable, "-m", "alignsig.cli", *args], cwd=tmp_path,
+                              env=env, capture_output=True)
+
+    table = cli("table", *systems)
+    assert (table.returncode, table.stderr) == (0, b"")
+    assert cli("table", *systems, "--output", "table.tsv").returncode == 0
+    assert table.stdout == (tmp_path / "table.tsv").read_bytes()
+    assert table.stdout.startswith("Σ1\tS2\n".encode("utf-8"))
+    compare = cli("compare", *systems, "--report", "report.json")
+    assert (compare.returncode, compare.stderr) == (0, b"")
+    rank = cli("rank", "--report", "report.json")
+    assert rank.stdout == compare.stdout
+    assert "Σ1".encode("utf-8") in compare.stdout
 
 
 @pytest.mark.parametrize("report, code, stderr", [

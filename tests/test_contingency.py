@@ -293,6 +293,17 @@ class TestDiscordantMatrix:
         with pytest.raises(MalformedLine, match="outside the 64-bit integer range"):
             parse_matrix_tsv(data, IFP)
 
+    @pytest.mark.parametrize("data, line_no", [
+        ("A\tB\nA\t0\t1_0\nB\t2\t0\n", 2),
+        ("A\tB\nA\t0\t1\nB\t\uff12\t0\n", 3),
+    ], ids=["digit-separator", "full-width-digit"])
+    def test_parser_refuses_cells_int_alone_would_read(self, data, line_no):
+        # int() reads "1_0" as 10 and a full-width two as 2; a cell is ASCII
+        # digits without "_", as a confidence is in ingest
+        with pytest.raises(MalformedLine) as info:
+            parse_matrix_tsv(data.encode(), IFP)
+        assert (info.value.line_no, info.value.reason) == (line_no, "non-integer cell")
+
     def test_constructor_refuses_cells_beyond_int64(self):
         # its TSV would not parse back
         with pytest.raises(ValueError, match="outside the 64-bit integer range"):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -95,7 +96,36 @@ def pair_oracle(metric, a, b):
     return min(1.0, max(0.0, SCALAR_METRICS[metric](a, b)))
 
 
+def regex_normalize(raw_label):
+    """The regex form normalize replaced: collapse runs of \\s, then trim."""
+    text = raw_label.casefold().replace("_", " ").replace("-", " ")
+    return re.sub(r"\s+", " ", text).strip()
+
+
+def dp_longest_common_substring(a, b):
+    """The row DP that difflib's find_longest_match replaced: (length,
+    start_a, start_b), the first maximum met by end in a, then end in b."""
+    best = (0, 0, 0)
+    prev = [0] * (len(b) + 1)
+    for i in range(1, len(a) + 1):
+        cur = [0] * (len(b) + 1)
+        for j in range(1, len(b) + 1):
+            if a[i - 1] == b[j - 1]:
+                cur[j] = prev[j - 1] + 1
+                if cur[j] > best[0]:
+                    best = (cur[j], i - cur[j], j - cur[j])
+        prev = cur
+    return best
+
+
 class TestNormalize:
+    # whitespace of every kind str.isspace knows (tab, newline, the file
+    # separator, NEL, no-break and ideographic spaces), the two separators,
+    # and letters that casefold changes or lengthens
+    @given(st.text(alphabet="\t \n\x1c\x85\xa0\u3000_-aBßİ", max_size=20))
+    def test_equals_the_regex_form(self, label):
+        assert normalize(label) == regex_normalize(label)
+
     def test_underscores_and_case(self):
         assert normalize("Trigeminal_Nerve") == "trigeminal nerve"
 
@@ -131,6 +161,20 @@ class TestMetrics:
     def test_hamming(self):
         # 1 mismatch over min length + 1 length difference, over max length 4
         assert similarity(MetricKind.HAMMING, "abc", "axcd") == pytest.approx(0.5)
+
+    # two to four letters make ties between longest substrings common
+    @given(st.sampled_from(["ab", "abc", "abcd"]).flatmap(
+        lambda alphabet: st.tuples(st.text(alphabet, max_size=12),
+                                   st.text(alphabet, max_size=12))))
+    def test_longest_common_substring_equals_the_dp(self, pair):
+        assert matcher._longest_common_substring(*pair) == dp_longest_common_substring(*pair)
+
+    def test_longest_common_substring_keeps_frequent_characters(self):
+        # difflib's autojunk would ignore "a" here: it fills over 1% of a
+        # b of 200+ characters
+        a, b = "x" + "a" * 5, "a" * 150 + "y" * 60
+        assert matcher._longest_common_substring(a, b) == (5, 1, 0)
+        assert matcher._longest_common_substring("", "") == (0, 0, 0)
 
     def test_substring(self):
         assert similarity(MetricKind.SUBSTRING, "abcde", "xbcdx") == pytest.approx(
