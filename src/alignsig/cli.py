@@ -50,13 +50,14 @@ def _discordant_matrix(args, matrix: Path | None = None):
         return contingency.parse_matrix_tsv(matrix.read_bytes(), persp)
     if args.reference is None or len(args.alignments) < 2:
         raise ValueError("provide either --matrix or --reference plus >=2 --alignment entries")
-    ref = ingest.parse_alignment(args.reference.read_bytes(), "reference")
-    systems = []
+    files = [("reference", args.reference)]
     for spec in args.alignments:
         name, eq, path = spec.partition("=")
         if not eq:
+            ingest.parse_alignment_files(files)  # a bad file before the spec fails first
             raise ValueError(f"--alignment must be name=path, got {spec!r}")
-        systems.append(ingest.parse_alignment(Path(path).read_bytes(), name))
+        files.append((name, Path(path)))
+    ref, *systems = ingest.parse_alignment_files(files)
     return contingency.build_discordant_matrix(ref, systems, persp)
 
 

@@ -1,8 +1,16 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class AlignsigError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __reduce__(self):
+        # Exception's own reduce calls type(self)(*self.args), and a subclass's
+        # __init__ takes other arguments than the message it stores in args; so
+        # unpickling restores args and attributes without calling __init__
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class EmptySystemName(AlignsigError):

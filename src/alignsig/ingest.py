@@ -5,14 +5,19 @@ and tests, and the subset of the Alignment XML interchange format that OAEI
 tools emit (``Cell`` elements with ``entity1``/``entity2`` resources).
 ``parse_alignment`` picks a file's format; both parsers pass their raw entity,
 relation and confidence strings to the same three checks.
+``parse_alignment_files`` reads and parses many files, in worker processes
+when they are large.
 """
 
 from __future__ import annotations
 
 import codecs
+import gc
+import os
 from dataclasses import dataclass
 from itertools import repeat
-from typing import List, Tuple
+from operator import attrgetter
+from typing import List, Sequence, Tuple
 
 from .errors import (
     BadConfidence, DuplicateId, MalformedLine, MissingEntity, NonEquivalenceRelation,
@@ -108,9 +113,18 @@ def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _resource(elem) -> str:
+class _LocalNames(dict):
+    """One document's ``{namespace}name`` strings, each mapped to its local name
+    on first use, so that ``_local`` runs once per distinct string."""
+
+    def __missing__(self, name: str) -> str:
+        local = self[name] = _local(name)
+        return local
+
+
+def _resource(elem, names: _LocalNames) -> str:
     for key, value in elem.attrib.items():
-        if _local(key) == "resource":
+        if names[key] == "resource":
             return value
     return ""
 
@@ -147,19 +161,23 @@ def parse_alignment_xml(data: bytes, system_name: str) -> Alignment:
         # an unknown or multi-byte encoding named by the XML declaration, which
         # opens line 1
         raise XmlSyntax((1, 0), str(exc)) from exc
+    names = _LocalNames()
+    cell_tags = [tag for tag in set(map(attrgetter("tag"), root.iter())) if names[tag] == "Cell"]
+    if len(cell_tags) == 1:  # the usual case: ElementTree finds the Cells in C
+        cells = root.iter(cell_tags[0])
+    else:  # Cells in several namespaces, in document order
+        cells = (elem for elem in root.iter() if names[elem.tag] == "Cell")
     out = []
     cell_index = 0
-    for elem in root.iter():
-        if _local(elem.tag) != "Cell":
-            continue
+    for elem in cells:
         entity1 = entity2 = ""
         measure = relation = None
         for child in elem:
-            name = _local(child.tag)
+            name = names[child.tag]
             if name == "entity1":
-                entity1 = _resource(child)
+                entity1 = _resource(child, names)
             elif name == "entity2":
-                entity2 = _resource(child)
+                entity2 = _resource(child, names)
             elif name == "measure":
                 measure = child.text or ""  # <measure/> is blank, not absent
             elif name == "relation":
@@ -185,6 +203,78 @@ def parse_alignment(data: bytes, system_name: str) -> Alignment:
             or head.startswith(b"<") and b"\t" not in head.partition(b"\n")[0]):
         return parse_alignment_xml(data, system_name)
     return parse_alignment_tsv(data, system_name)
+
+
+#: Total input size from which `parse_alignment_files` parses in worker
+#: processes.  Importing and starting the pool costs about 45 ms.  On a 2-CPU
+#: x86-64 host, `table` on six Alignment XML files (medians of 15 alternating
+#: runs) took 0.175 s in one process and 0.191 s with the pool at 2.0 MB in
+#: all, and 0.296 s against 0.267 s at 4.0 MB; so the two break even near 3 MB.
+POOL_MIN_BYTES = 3 * 1024 * 1024
+
+
+def _read_and_parse(file: Tuple[str, str | os.PathLike]) -> Alignment:
+    """Parse the alignment file of one (system name, path) pair."""
+    name, path = file
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return parse_alignment(data, name)
+
+
+def _size(file: Tuple[str, str | os.PathLike]) -> int:
+    """A file's size; 0 if it cannot be read, so that its parse raises the error."""
+    try:
+        return os.stat(file[1]).st_size
+    except (OSError, ValueError):  # ValueError: a NUL in the path
+        return 0
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on macOS and Windows
+        return os.cpu_count() or 1
+
+
+def _parse_in_pool(files, sizes: List[int], workers: int) -> List[Alignment]:
+    # imported here: the two modules take about 30 ms to import, which small
+    # inputs skip
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork: a worker starts with this process's modules and paused GC, where
+    # a spawned one would import them again; the CLI runs no other thread
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        # the largest files first, so that the last ones to finish are small
+        futures = {i: pool.submit(_read_and_parse, files[i])
+                   for i in sorted(range(len(files)), key=sizes.__getitem__, reverse=True)}
+        return [futures[i].result() for i in range(len(files))]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def parse_alignment_files(files: Sequence[Tuple[str, str | os.PathLike]]) -> List[Alignment]:
+    """Parse each (system name, path) pair's file, returning Alignments in order.
+
+    Files of `POOL_MIN_BYTES` or more in all are parsed in worker processes,
+    one per CPU, where the platform can fork; the result, or the error of the
+    first bad file in order, is the same either way.  The cyclic garbage
+    collector is paused meanwhile, since parsed trees and rows hold no cycles.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        workers = min(len(files), _cpus())
+        if workers > 1 and hasattr(os, "fork"):
+            sizes = list(map(_size, files))
+            if sum(sizes) >= POOL_MIN_BYTES:
+                return _parse_in_pool(files, sizes, workers)
+        return list(map(_read_and_parse, files))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def parse_label_list(data: bytes) -> LabelTable:

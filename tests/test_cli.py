@@ -530,7 +530,8 @@ class TestEntryPoint:
 
 
 #: Modules that only some commands need; each costs start-up time when loaded.
-HEAVY_MODULES = ("numpy", "scipy", "xml.etree.ElementTree")
+HEAVY_MODULES = ("numpy", "scipy", "xml.etree.ElementTree", "multiprocessing",
+                 "concurrent.futures")
 
 #: Runs the CLI on its arguments, then prints the heavy modules it loaded to stderr.
 FRESH_CLI = f"""
@@ -563,8 +564,8 @@ def run_fresh(*args):
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # numpy serves only `match`, and xml.etree only XML alignments; loading
-    # them, or scipy, would slow every command
+    # numpy serves only `match`, xml.etree only XML alignments, and the process
+    # pool only large inputs; loading them, or scipy, would slow every command
     assert run_fresh("--help") == (0, "[]")
 
 
@@ -646,3 +647,88 @@ def test_closed_stdout_exits_without_a_traceback(report, code, stderr):
     proc.stdout.close()  # before the CLI writes anything
     _, err = proc.communicate()
     assert (proc.returncode, err) == (code, stderr)
+
+
+#: Runs the CLI on its arguments after its first one, "pool" or "sequential",
+#: then prints to stderr whether the ingest ran in worker processes and how
+#: many of them are still alive.  "pool" takes the pool for any input size and
+#: two CPUs.  A fresh interpreter forks no test runner with threads running.
+INGEST_CLI = """
+import multiprocessing, sys
+from alignsig import ingest
+from alignsig.cli import main
+if sys.argv.pop(1) == "pool":
+    ingest.POOL_MIN_BYTES = 0
+    ingest._cpus = lambda: 2
+try:
+    main(sys.argv[1:])
+finally:
+    print("concurrent.futures" in sys.modules, len(multiprocessing.active_children()),
+          file=sys.stderr)
+"""
+
+XML_SYSTEM = """<?xml version="1.0"?>
+<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+         xmlns="http://knowledgeweb.semanticweb.org/heterogeneity/alignment">
+  <Alignment><map>
+    <Cell><entity1 rdf:resource="r1"/><entity2 rdf:resource="t1"/></Cell>
+    <Cell><entity1 rdf:resource="r3"/><entity2 rdf:resource="t3"/>
+          <measure>0.5</measure></Cell>
+    <Cell><entity1 rdf:resource="y"/><entity2 rdf:resource="z"/></Cell>
+  </map></Alignment>
+</rdf:RDF>
+"""
+
+
+def ingest_cli(mode, tmp_path, *args):
+    """(exit code, stdout bytes, the lines of stderr but its last, its last line)."""
+    done = subprocess.run([sys.executable, "-c", INGEST_CLI, mode, *args], cwd=tmp_path,
+                          env=fresh_env(), capture_output=True, timeout=60)
+    *stderr, last = done.stderr.decode().splitlines()
+    return done.returncode, done.stdout, stderr, last
+
+
+def five_files(tmp_path, third=XML_SYSTEM, fifth=True):
+    """Arguments naming the reference and four systems, with the third and fifth
+    file given."""
+    write(tmp_path, "ref.tsv", REF)
+    write(tmp_path, "a.tsv", SYS_A)
+    write(tmp_path, "b.rdf", third)
+    write(tmp_path, "c.tsv", SYS_B)
+    if fifth:
+        write(tmp_path, "d.rdf", XML_SYSTEM.replace('"y"', '"r2"'))
+    return ["--reference", "ref.tsv", "--alignment", "A=a.tsv", "--alignment", "B=b.rdf",
+            "--alignment", "C=c.tsv", "--alignment", "D=d.rdf"]
+
+
+@pytest.mark.parametrize("command", ["table", "compare"])
+def test_pool_writes_the_sequential_output(tmp_path, command):
+    args = [command, *five_files(tmp_path)]
+    if command == "compare":
+        args += ["--perspective", "cfp", "--correction", "holm"]
+    outputs = {}
+    for mode in ("sequential", "pool"):
+        extra = ["--report", f"{mode}.json", "--dot", f"{mode}.dot"] if command == "compare" else []
+        code, stdout, stderr, last = ingest_cli(mode, tmp_path, *args, *extra)
+        # the pool ran, and no worker outlives it
+        assert (code, stderr, last) == (0, [], f"{mode == 'pool'} 0")
+        outputs[mode] = [stdout] + [(tmp_path / f"{mode}.{suffix}").read_bytes()
+                                    for suffix in ("json", "dot") if extra]
+    assert outputs["pool"] == outputs["sequential"]
+    assert outputs["pool"][0].count(b"\n") == (5 if command == "table" else 1)
+
+
+@pytest.mark.parametrize("third, fifth, error", [
+    ("<r><Cell>", False, "error: XML syntax error at (1, 9)"),
+    (XML_SYSTEM, False, "error: [Errno 2] No such file or directory: 'd.rdf'"),
+    ("<r><Cell>", True, "error: XML syntax error at (1, 9)"),
+    (XML_SYSTEM.replace("0.5", "high"), True, "error: Cell 1: confidence 'high'"),
+], ids=["bad-third-and-missing-fifth", "missing-fifth", "bad-third", "bad-measure"])
+def test_pool_raises_the_first_bad_files_error(tmp_path, third, fifth, error):
+    args = ["table", *five_files(tmp_path, third, fifth)]
+    sequential = ingest_cli("sequential", tmp_path, *args)
+    pooled = ingest_cli("pool", tmp_path, *args)
+    assert sequential[:3] == pooled[:3]
+    code, stdout, stderr, last = pooled
+    assert (code, stdout, last) == (2, b"", "True 0")
+    assert len(stderr) == 1 and stderr[0].startswith(error)

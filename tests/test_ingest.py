@@ -1,3 +1,4 @@
+import gc
 import random
 from xml.sax.saxutils import quoteattr
 
@@ -14,8 +15,10 @@ from alignsig.errors import (
     Undecodable,
     XmlSyntax,
 )
+from alignsig import ingest
 from alignsig.ingest import (
     parse_alignment,
+    parse_alignment_files,
     parse_alignment_tsv,
     parse_alignment_xml,
     parse_label_list,
@@ -414,6 +417,7 @@ _FRAGMENTS = [
     b"<r>", b"</r>", b"<Cell>", b"</Cell>", b'<entity1 resource="a"/>',
     b'<entity2 resource="b"/>', b'<entity1 resource=" "/>', b"<measure>",
     b"</measure>", b"<measure/>", b"<relation>", b"</relation>",
+    b'<r xmlns="u">', b'<x:Cell xmlns:x="v">', b"</x:Cell>", b'<x:entity1 x:resource="c"/>',
 ]
 _BYTES = st.one_of(
     st.binary(max_size=200),
@@ -432,3 +436,125 @@ def test_parsers_return_or_raise_only_alignsig_errors(data):
             parse(data)
         except AlignsigError:
             pass
+
+
+def oracle_parse_alignment_xml(data: bytes, system_name: str):
+    """The walk parse_alignment_xml made before it looked Cells up by tag: every
+    element, each tag's local name compared with "Cell"."""
+    import xml.etree.ElementTree as ET
+
+    def resource(elem) -> str:
+        for key, value in elem.attrib.items():
+            if ingest._local(key) == "resource":
+                return value
+        return ""
+
+    document = ingest._xml_document(data)
+    try:
+        root = ET.fromstring(document)
+    except ET.ParseError as exc:
+        raise XmlSyntax(exc.position, str(exc)) from exc
+    except (LookupError, ValueError) as exc:
+        raise XmlSyntax((1, 0), str(exc)) from exc
+    out = []
+    cell_index = 0
+    for elem in root.iter():
+        if ingest._local(elem.tag) != "Cell":
+            continue
+        entity1 = entity2 = ""
+        measure = relation = None
+        for child in elem:
+            name = ingest._local(child.tag)
+            if name == "entity1":
+                entity1 = resource(child)
+            elif name == "entity2":
+                entity2 = resource(child)
+            elif name == "measure":
+                measure = child.text or ""
+            elif name == "relation":
+                relation = child.text
+        confidence = ingest._confidence(measure, "Cell", cell_index)
+        row = ingest._correspondence(entity1, entity2, confidence, "Cell", cell_index)
+        ingest._relation(relation, "Cell", cell_index)
+        out.append(row)
+        cell_index += 1
+    return canonicalize_alignment(out, system_name)
+
+
+_ALIGN_NS = "http://knowledgeweb.semanticweb.org/heterogeneity/alignment"
+# a: is the Alignment namespace and x: a foreign one; an unprefixed name is in
+# no namespace, or in the Alignment namespace where the document declares it
+_NAMESPACES = (f'xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" '
+               f'xmlns:a="{_ALIGN_NS}" xmlns:x="urn:foreign"')
+_CELLS = st.lists(st.tuples(
+    st.sampled_from(["", "a:", "x:"]),  # the Cell's prefix
+    st.sampled_from(["", "x:"]),  # its children's prefix
+    st.sampled_from(["rdf:resource", "resource", "x:resource", "about"]),
+    st.sampled_from(["a", "b", " b ", ""]),
+    st.sampled_from(["c", "d"]),
+    st.sampled_from([None, "0.5", "1", " 0.25 ", "high"]),
+    st.sampled_from([None, "=", " ", "<"]),
+), max_size=6)
+
+
+def _cell(prefix, child, key, entity1, entity2, measure, relation, inner="") -> str:
+    parts = [f"<{child}entity1 {key}={quoteattr(entity1)}/>",
+             f"<{child}entity2 rdf:resource={quoteattr(entity2)}/>"]
+    if measure is not None:
+        parts.append(f"<{child}measure>{measure}</{child}measure>")
+    if relation is not None:
+        parts.append(f"<{child}relation>{relation}</{child}relation>")
+    return f"<{prefix}Cell>{''.join(parts)}{inner}</{prefix}Cell>"
+
+
+@given(_CELLS, st.booleans(), st.booleans())
+def test_cells_by_tag_equal_the_walk_over_every_element(cells, default_ns, root_is_cell):
+    xmlns = _NAMESPACES + (f' xmlns="{_ALIGN_NS}"' if default_ns else "")
+    body = "".join(_cell(*c) for c in cells[root_is_cell:])
+    if root_is_cell and cells:  # the other Cells nested in the root Cell
+        prefix, *rest = cells[0]
+        document = _cell(prefix, *rest, inner=f"<map>{body}</map>").replace(
+            f"<{prefix}Cell>", f"<{prefix}Cell {xmlns}>", 1)
+    else:
+        document = f"<rdf:RDF {xmlns}><Alignment><map>{body}</map></Alignment></rdf:RDF>"
+    data = document.encode()
+    try:
+        expected = oracle_parse_alignment_xml(data, "s").pairs
+    except AlignsigError as exc:
+        with pytest.raises(type(exc)) as raised:
+            parse_alignment_xml(data, "s")
+        assert str(raised.value) == str(exc)
+    else:
+        assert parse_alignment_xml(data, "s").pairs == expected
+
+
+class TestParseAlignmentFiles:
+    def test_returns_the_alignments_in_order(self, tmp_path):
+        (tmp_path / "a.tsv").write_bytes(b"a\tb\n")
+        (tmp_path / "b.rdf").write_bytes(ALIGNMENT_XML)
+        files = [("A", tmp_path / "a.tsv"), ("B", str(tmp_path / "b.rdf")),
+                 ("C", tmp_path / "a.tsv")]
+        alignments = parse_alignment_files(files)
+        assert [a.system_name for a in alignments] == ["A", "B", "C"]
+        assert alignments[1].pairs == {("http://x#A", "http://y#B"): 0.95}
+
+    def test_the_first_bad_file_in_order_raises(self, tmp_path):
+        (tmp_path / "bad.tsv").write_bytes(b"a\n")
+        with pytest.raises(MalformedLine):
+            parse_alignment_files([("A", tmp_path / "bad.tsv"), ("B", tmp_path / "missing")])
+        with pytest.raises(FileNotFoundError):
+            parse_alignment_files([("B", tmp_path / "missing"), ("A", tmp_path / "bad.tsv")])
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restores_the_garbage_collectors_state(self, tmp_path, enabled):
+        (tmp_path / "bad.tsv").write_bytes(b"a\n")
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            parse_alignment_files([])
+            assert gc.isenabled() is enabled
+            with pytest.raises(MalformedLine):
+                parse_alignment_files([("A", tmp_path / "bad.tsv")])
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
