@@ -142,8 +142,9 @@ def _parser() -> argparse.ArgumentParser:
     option("--correction", choices=choices_of(Correction))
     option("--mode", choices=choices_of(Mode), default=ComparisonConfig.mode.value)
     option("--baseline", help="Baseline system name (nx1 mode).")
-    option("--alpha", type=float, default=ComparisonConfig.alpha, help="(default: %(default)s)")
-    option("--bergmann-cap", type=int, default=ComparisonConfig.bergmann_cap,
+    option("--alpha", type=ingest.number, default=ComparisonConfig.alpha,
+           help="(default: %(default)s)")
+    option("--bergmann-cap", type=ingest.integer, default=ComparisonConfig.bergmann_cap,
            help="Max systems for Bergmann's correction. (default: %(default)s)")
     option("--dot", type=Path, help="Write the significance digraph as DOT.")
     option("--report", type=Path, help="Write the JSON comparison report.")
@@ -159,7 +160,7 @@ def _parser() -> argparse.ArgumentParser:
     option("--target", type=Path, required=True)
     # casefold before the choice check: metric names are case-insensitive
     option("--metric", type=str.casefold, choices=choices_of(MetricKind), required=True)
-    option("--threshold", type=float, default=0.0, help="(default: %(default)s)")
+    option("--threshold", type=ingest.number, default=0.0, help="(default: %(default)s)")
     option("--name", help="System name recorded in the output (default: the metric).")
     option("--output", type=Path, help="Output alignment TSV path (default: stdout).")
 

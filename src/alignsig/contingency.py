@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (
     BadSystemName, DuplicateSystemName, MalformedLine, NegativeCount, UniverseTooSmall,
 )
-from .ingest import text_lines
+from .ingest import integer, text_lines
 from .model import Alignment, ContingencyTable, Perspective
 
 #: The cell range a matrix holds, so that every one survives its TSV: that of
@@ -173,8 +173,7 @@ def parse_matrix_tsv(data: bytes, perspective: Perspective) -> DiscordantMatrix:
         if fields[0] != names[row]:
             raise MalformedLine(line_no, "row names do not match header order")
         try:
-            # int() alone would read "1_0" as 10 and a non-ASCII "２" as 2; "x" fails it
-            cells = [int(v if v.isascii() and "_" not in v else "x") for v in fields[1:]]
+            cells = list(map(integer, fields[1:]))
         except ValueError:
             raise MalformedLine(line_no, "non-integer cell")
         if not all(v in _INT64 for v in cells):

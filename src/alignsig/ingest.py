@@ -14,7 +14,6 @@ from __future__ import annotations
 import codecs
 import gc
 import os
-from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
 from typing import List, Sequence, Tuple
@@ -29,14 +28,18 @@ from .model import Alignment, canonicalize_alignment
 EQUIVALENCE = "="
 
 
-@dataclass(frozen=True)
-class LabelTable:
-    """Ordered (id, label) rows for one ontology's concepts."""
+def number(text: str, kind: type = float):
+    """`kind(text)` for ASCII text without ``_``, else ValueError: float() and
+    int() alone would read digit separators ("0.1_5") and non-ASCII digits
+    ("０.５").  Confidences, matrix cells and numeric CLI options use it."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"invalid number: {text!r}")
+    return kind(text)
 
-    rows: Tuple[Tuple[str, str], ...]
 
-    def __len__(self) -> int:
-        return len(self.rows)
+def integer(text: str) -> int:
+    """An int read by `number`'s rule."""
+    return number(text, int)
 
 
 def text_lines(data: bytes):
@@ -49,7 +52,7 @@ def text_lines(data: bytes):
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise Undecodable(exc.start, exc.reason) from None
+        raise Undecodable(exc.start, exc.reason, "UTF-8") from None
     # built-in iterators only, which cost less per line than a generator
     return enumerate(map(str.removesuffix, text.split("\n"), repeat("\r")), start=1)
 
@@ -63,33 +66,31 @@ def _data_lines(data: bytes):
 
 
 def _correspondence(source: str, target: str, confidence: float, where: str,
-                    number: int) -> Tuple[str, str, float]:
+                    n: int) -> Tuple[str, str, float]:
     """The row with both entities stripped; a blank entity raises MissingEntity."""
     source, target = source.strip(), target.strip()
     if not source or not target:
-        raise MissingEntity(f"{where} {number}")
+        raise MissingEntity(f"{where} {n}")
     return source, target, confidence
 
 
-def _relation(text: str | None, where: str, number: int) -> None:
+def _relation(text: str | None, where: str, n: int) -> None:
     """An absent or blank relation is ``=``; any other raises NonEquivalenceRelation."""
     # an exact "=", the common case, needs no strip
     if text and text != EQUIVALENCE and text.strip() not in ("", EQUIVALENCE):
-        raise NonEquivalenceRelation(f"{where} {number}", text.strip())
+        raise NonEquivalenceRelation(f"{where} {n}", text.strip())
 
 
-def _confidence(text: str | None, where: str, number: int) -> float:
+def _confidence(text: str | None, where: str, n: int) -> float:
     """An absent confidence is 1; a present one must be a number in [0, 1]."""
     if text is None:
         return 1.0
     try:
-        # float() would also read digit separators ("0.1_5") and non-ASCII
-        # digits ("０.５")
-        value = float(text) if text.isascii() and "_" not in text else -1.0
+        value = number(text)
     except ValueError:
         value = -1.0
     if not 0.0 <= value <= 1.0:
-        raise BadConfidence(f"{where} {number}", text.strip())
+        raise BadConfidence(f"{where} {n}", text.strip())
     return value
 
 
@@ -277,8 +278,8 @@ def parse_alignment_files(files: Sequence[Tuple[str, str | os.PathLike]]) -> Lis
             gc.enable()
 
 
-def parse_label_list(data: bytes) -> LabelTable:
-    """Parse ``id<TAB>label`` lines into an ordered table with unique ids."""
+def parse_label_list(data: bytes) -> Tuple[Tuple[str, str], ...]:
+    """Parse ``id<TAB>label`` lines into ordered (id, label) rows with unique ids."""
     rows: List[Tuple[str, str]] = []
     seen = set()
     for line_no, line in _data_lines(data):
@@ -292,7 +293,7 @@ def parse_label_list(data: bytes) -> LabelTable:
             raise DuplicateId(line_no, id_)
         seen.add(id_)
         rows.append((id_, label))
-    return LabelTable(rows=tuple(rows))
+    return tuple(rows)
 
 
 def _format_confidence(value: float) -> str:

@@ -19,7 +19,6 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from .errors import EmptyTable
-from .ingest import LabelTable
 from .model import Alignment, MetricKind, canonicalize_alignment  # MetricKind re-exported
 
 
@@ -331,17 +330,14 @@ class SimilarityMatrix:
 
 
 def build_similarity_matrix(
-    src: LabelTable, tgt: LabelTable, metric: MetricKind
+    src: Sequence[Tuple[str, str]], tgt: Sequence[Tuple[str, str]], metric: MetricKind
 ) -> SimilarityMatrix:
+    """The metric's similarity of every (id, label) row of src to every row of tgt."""
     if len(src) == 0 or len(tgt) == 0:
         raise EmptyTable("label tables must be non-empty")
-    s = _MATRICES[metric]([normalize(label) for _, label in src.rows],
-                          [normalize(label) for _, label in tgt.rows])
-    return SimilarityMatrix(
-        row_ids=tuple(id_ for id_, _ in src.rows),
-        col_ids=tuple(id_ for id_, _ in tgt.rows),
-        s=s,
-    )
+    s = _MATRICES[metric]([normalize(label) for _, label in src],
+                          [normalize(label) for _, label in tgt])
+    return SimilarityMatrix(tuple(id_ for id_, _ in src), tuple(id_ for id_, _ in tgt), s)
 
 
 def _assign_rows(s: np.ndarray) -> List[int]:
@@ -450,8 +446,8 @@ def extract_alignment(
 
 
 def match(
-    src: LabelTable,
-    tgt: LabelTable,
+    src: Sequence[Tuple[str, str]],
+    tgt: Sequence[Tuple[str, str]],
     metric: MetricKind,
     threshold: float,
     system_name: str,

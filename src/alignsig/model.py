@@ -134,6 +134,8 @@ class ComparisonConfig:
             object.__setattr__(self, "correction", default)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha {self.alpha} outside (0, 1)")
+        if self.bergmann_cap < 2:
+            raise ValueError(f"bergmann_cap {self.bergmann_cap} is below 2 systems")
         if self.mode is Mode.NX1 and self.correction in NXN_ONLY_CORRECTIONS:
             raise ModeMismatch(self.correction.value, self.mode.value)
         if self.mode is Mode.NX1 and not self.baseline:

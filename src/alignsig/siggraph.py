@@ -70,14 +70,6 @@ class SignificanceGraph:
     perspective: Perspective
     config: ComparisonConfig
 
-    def has_edge_between(self, a: str, b: str) -> bool:
-        return any(
-            {e.winner, e.loser} == {a, b} for e in self.edges
-        )
-
-    def wins(self, name: str) -> int:
-        return sum(1 for e in self.edges if e.winner == name)
-
 
 def _pairs_for_mode(systems: Tuple[str, ...], cfg: ComparisonConfig):
     """The compared name pairs, each sorted, in fwer's positional order: pair i
@@ -150,17 +142,18 @@ def rank_systems(g: SignificanceGraph) -> Tuple[Tuple[str, ...], ...]:
     This reproduces the published ranking layout but is a heuristic, not a
     procedure taken from elsewhere.
     """
-    order = sorted(g.nodes, key=lambda n: (-g.wins(n), n))
+    wins = dict.fromkeys(g.nodes, 0)
+    linked = set()  # (a, b) and (b, a) for every edge between a and b
+    for e in g.edges:
+        wins[e.winner] += 1
+        linked.update(((e.winner, e.loser), (e.loser, e.winner)))
     groups: List[List[str]] = []
-    for name in order:
-        if groups:
-            current = groups[-1]
-            same_wins = g.wins(current[0]) == g.wins(name)
-            clean = all(not g.has_edge_between(name, other) for other in current)
-            if same_wins and clean:
-                current.append(name)
-                continue
-        groups.append([name])
+    for name in sorted(g.nodes, key=lambda n: (-wins[n], n)):
+        if (groups and wins[groups[-1][0]] == wins[name]
+                and all((name, other) not in linked for other in groups[-1])):
+            groups[-1].append(name)
+        else:
+            groups.append([name])
     return tuple(tuple(sorted(grp, key=str.casefold)) for grp in groups)
 
 

@@ -67,14 +67,18 @@ class TestCompare:
     @pytest.mark.parametrize("fixture, ranking", [
         ("anatomy-ifp", ["AML", "CroMatcher", "LYAM & XMap", "FCA-Map", "Lily",
                          "LogMapLite & LPHOM", "Alin", "DKP-AOM"]),
+        # the ranking of test_acceptance.py's test_criterion_2
+        ("anatomy-cfp", ["AML", "CroMatcher", "FCA-Map & XMap", "LYAM", "Lily & LogMapLite",
+                         "LPHOM", "Alin", "DKP-AOM"]),
         # the paper's second experiment: nine string metrics on the anatomy task
         ("anatomy-string-ifp", ["N-gram", "Levenshtein", "NeedlemanWunsch",
                                 "Jaro & JaroWinkler", "Hamming & SMOA", "SubString", "Equal"]),
-    ], ids=["anatomy-ifp", "anatomy-string-ifp"])
+    ], ids=["anatomy-ifp", "anatomy-cfp", "anatomy-string-ifp"])
     def test_default_compare_writes_the_golden_files(self, runner, tmp_path, fixture, ranking):
         golden = Path(__file__).parent / "golden" / f"{fixture.replace('-', '_')}_bergmann"
         result = runner.invoke(main, [
             "compare", "--matrix", str(fixture_path(fixture)),
+            "--perspective", fixture.split("-")[-1],
             "--dot", str(tmp_path / "graph.dot"), "--report", str(tmp_path / "report.json"),
         ])
         assert result.exit_code == 0, result.output
@@ -488,6 +492,42 @@ def test_outputs_byte_identical_across_runs(runner, tmp_path):
         ])
         outs.append((dot.read_bytes(), rep.read_bytes()))
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("args, kind", [
+    (["compare", "--alpha", "0.0_5"], "number"),
+    (["compare", "--alpha", "０.０５"], "number"),
+    (["compare", "--bergmann-cap", "1_0"], "integer"),
+    (["match", "--metric", "equal", "--threshold", "0.5_0"], "number"),
+], ids=["alpha-separator", "alpha-full-width", "cap-separator", "threshold-separator"])
+def test_numeric_option_follows_the_confidence_rule(runner, tmp_path, args, kind):
+    # float() and int() would read these; a confidence or a matrix cell may not hold them
+    labels = write(tmp_path, "labels.tsv", LABELS)
+    inputs = (["--matrix", str(fixture_path("anatomy-ifp"))] if args[0] == "compare"
+              else ["--source", labels, "--target", labels])
+    result = runner.invoke(main, [*args, *inputs])
+    assert result.exit_code == 2
+    assert result.output.startswith(f"usage: alignsig {args[0]} ")
+    assert f"invalid {kind} value: '{args[-1]}'" in result.output
+
+
+@pytest.mark.parametrize("cap", ["-1", "0", "1"])
+def test_bergmann_cap_below_two_exits_2(runner, cap):
+    result = runner.invoke(main, ["compare", "--matrix", str(fixture_path("anatomy-ifp")),
+                                  "--bergmann-cap", cap])
+    assert (result.exit_code, result.output) == (
+        2, f"error: bergmann_cap {cap} is below 2 systems\n")
+
+
+def test_too_many_systems_names_both_ways_forward(runner):
+    result = runner.invoke(main, ["compare", "--matrix", str(fixture_path("anatomy-ifp")),
+                                  "--bergmann-cap", "9"])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: Bergmann's procedure limited to 9 systems (got 10)")
+    assert "--bergmann-cap" in result.output and "--correction shaffer" in result.output
+    shaffer = runner.invoke(main, ["compare", "--matrix", str(fixture_path("anatomy-ifp")),
+                                   "--bergmann-cap", "9", "--correction", "shaffer"])
+    assert shaffer.exit_code == 0, shaffer.output
 
 
 def test_abbreviated_option_exits_2(runner):

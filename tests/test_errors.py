@@ -21,7 +21,7 @@ ARGUMENTS = {
     errors.UndefinedStatistic: (),
     errors.ModeMismatch: ("bergmann", "nx1"),
     errors.TooManySystems: (12, 10),
-    errors.EmptyTable: (),
+    errors.EmptyTable: ("label tables must be non-empty",),
 }
 
 
@@ -39,5 +39,21 @@ def test_pickling_keeps_type_message_and_attributes(cls, protocol):
     copy = pickle.loads(pickle.dumps(exc, protocol))
     assert type(copy) is cls
     assert str(copy) == str(exc)
-    assert copy.args == exc.args
+    assert copy.args == ARGUMENTS[cls]
     assert vars(copy) == vars(exc)
+
+
+@pytest.mark.parametrize("cls", ARGUMENTS, ids=lambda cls: cls.__name__)
+def test_attributes_are_the_constructor_arguments(cls):
+    exc = cls(*ARGUMENTS[cls])
+    assert exc.args == ARGUMENTS[cls]
+    assert tuple(getattr(exc, name) for name in cls.fields) == ARGUMENTS[cls]
+
+
+@pytest.mark.parametrize("cls", [cls for cls in ARGUMENTS if ARGUMENTS[cls]],
+                         ids=lambda cls: cls.__name__)
+def test_too_few_or_too_many_arguments_raise_type_error(cls):
+    with pytest.raises(TypeError):
+        cls(*ARGUMENTS[cls][:-1])
+    with pytest.raises(TypeError):
+        cls(*ARGUMENTS[cls], "extra")

@@ -221,7 +221,7 @@ class TestParserChecks:
 class TestLabelList:
     def test_single_row(self):
         t = parse_label_list(b"m1\ttrigeminal nerve\n")
-        assert t.rows == (("m1", "trigeminal nerve"),)
+        assert t == (("m1", "trigeminal nerve"),)
 
     def test_duplicate_id(self):
         with pytest.raises(DuplicateId) as exc:
@@ -234,7 +234,7 @@ class TestLabelList:
 
     def test_byte_order_mark_is_not_part_of_the_first_id(self):
         t = parse_label_list(BOM + b"m1\teye\n")
-        assert t.rows == (("m1", "eye"),)
+        assert t == (("m1", "eye"),)
 
     def test_undecodable_byte_reports_its_offset(self):
         with pytest.raises(Undecodable) as exc:
@@ -245,7 +245,7 @@ class TestLabelList:
                                            "\x1c", "\x1d", "\x1e"])
     def test_only_newline_ends_a_line(self, separator):
         t = parse_label_list(f"m1\tleft{separator}eye\nm2\tlens\n".encode())
-        assert t.rows == (("m1", f"left{separator}eye"), ("m2", "lens"))
+        assert t == (("m1", f"left{separator}eye"), ("m2", "lens"))
 
 
 class TestLineSplitting:

@@ -12,7 +12,6 @@ from scipy.optimize import linear_sum_assignment
 
 from alignsig import matcher
 from alignsig.errors import EmptyTable
-from alignsig.ingest import LabelTable
 from alignsig.matcher import (
     MetricKind,
     SimilarityMatrix,
@@ -234,35 +233,33 @@ _SHORT_LABELS = st.lists(
 )
 
 
-def label_table(tag, labels):
-    return LabelTable(rows=tuple((f"{tag}{i}", label) for i, label in enumerate(labels)))
+def label_rows(tag, labels):
+    return tuple((f"{tag}{i}", label) for i, label in enumerate(labels))
 
 
 class TestSimilarityMatrix:
     def test_one_by_one_identical(self):
-        src = LabelTable(rows=(("s1", "eye"),))
-        tgt = LabelTable(rows=(("t1", "Eye"),))
+        src = (("s1", "eye"),)
+        tgt = (("t1", "Eye"),)
         m = build_similarity_matrix(src, tgt, MetricKind.EQUAL)
         assert m.s[0, 0] == 1.0
 
     def test_exact_match_is_row_and_col_max(self):
-        src = LabelTable(rows=(("s1", "eye"), ("s2", "ear")))
-        tgt = LabelTable(rows=(("t1", "eye"), ("t2", "elbow")))
+        src = (("s1", "eye"), ("s2", "ear"))
+        tgt = (("t1", "eye"), ("t2", "elbow"))
         m = build_similarity_matrix(src, tgt, MetricKind.LEVENSHTEIN)
         assert m.s[0, 0] == m.s[0].max() == m.s[:, 0].max() == 1.0
 
     def test_entries_equal_recomputation(self):
         rng = random.Random(37)
-        labels = lambda n, tag: LabelTable(
-            rows=tuple(
-                (f"{tag}{i}", "".join(rng.choice("abcdef ") for _ in range(6)).strip() or "x")
-                for i in range(n)
-            )
+        labels = lambda n, tag: tuple(
+            (f"{tag}{i}", "".join(rng.choice("abcdef ") for _ in range(6)).strip() or "x")
+            for i in range(n)
         )
         src, tgt = labels(20, "s"), labels(20, "t")
         m = build_similarity_matrix(src, tgt, MetricKind.NGRAM)
-        for i, (_, la) in enumerate(src.rows):
-            for j, (_, lb) in enumerate(tgt.rows):
+        for i, (_, la) in enumerate(src):
+            for j, (_, lb) in enumerate(tgt):
                 assert m.s[i, j] == similarity(
                     MetricKind.NGRAM, normalize(la), normalize(lb)
                 )
@@ -271,7 +268,7 @@ class TestSimilarityMatrix:
     @settings(max_examples=30, deadline=None)
     @given(_SHORT_LABELS, _SHORT_LABELS)
     def test_entries_equal_the_pair_oracle(self, metric, src, tgt):
-        m = build_similarity_matrix(label_table("s", src), label_table("t", tgt), metric)
+        m = build_similarity_matrix(label_rows("s", src), label_rows("t", tgt), metric)
         assert m.s.shape == (len(src), len(tgt))
         for i, a in enumerate(src):
             for j, b in enumerate(tgt):
@@ -279,8 +276,7 @@ class TestSimilarityMatrix:
 
     def test_empty_table_rejected(self):
         with pytest.raises(EmptyTable):
-            build_similarity_matrix(LabelTable(rows=()), LabelTable(rows=(("t", "x"),)),
-                                    MetricKind.EQUAL)
+            build_similarity_matrix((), (("t", "x"),), MetricKind.EQUAL)
 
 
 # a small alphabet, so that labels share characters, plus non-ASCII characters,
@@ -306,8 +302,8 @@ class TestLevenshteinKernel:
                               oracle_matrix(labels, labels[::-1]))
 
     def test_labels_empty_after_normalization(self):
-        src = LabelTable(rows=(("s1", "__"), ("s2", "eye"), ("s3", "-")))
-        tgt = LabelTable(rows=(("t1", "-"), ("t2", "Eye"), ("t3", "ear")))
+        src = (("s1", "__"), ("s2", "eye"), ("s3", "-"))
+        tgt = (("t1", "-"), ("t2", "Eye"), ("t3", "ear"))
         m = build_similarity_matrix(src, tgt, MetricKind.LEVENSHTEIN)
         assert m.s.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 1 - 2 / 3], [1.0, 0.0, 0.0]]
 
@@ -414,7 +410,7 @@ class TestScipyOracle:
         tgt = [label.upper().replace(" ", "_") if rng.random() < 0.5
                else " ".join(rng.sample(words, rng.randint(1, 3))) for label in src]
         rng.shuffle(tgt)
-        sim = build_similarity_matrix(label_table("s", src), label_table("t", tgt),
+        sim = build_similarity_matrix(label_rows("s", src), label_rows("t", tgt),
                                       MetricKind.LEVENSHTEIN)
         assert len(np.unique(sim.s)) < 200  # ties abound
         assert hungarian_assign(sim) == scipy_pairs(sim.s)
@@ -449,7 +445,7 @@ class TestExtract:
         def unreachable(*args):
             raise AssertionError("similarity matrix built before the threshold check")
         monkeypatch.setattr(matcher, "build_similarity_matrix", unreachable)
-        labels = label_table("s", ["eye", "ear"])
+        labels = label_rows("s", ["eye", "ear"])
         with pytest.raises(ValueError, match="threshold"):
             match(labels, labels, MetricKind.SMOA, threshold, "m")
 
@@ -462,7 +458,6 @@ class TestExtract:
 @pytest.mark.parametrize("metric", ALL_METRICS)
 def test_end_to_end_identity_on_shared_labels(metric):
     rows = (("a", "optic nerve"), ("b", "retina"), ("c", "lens"))
-    src = LabelTable(rows=rows)
-    tgt = LabelTable(rows=tuple((f"t_{i}", l) for i, l in rows))
-    a = match(src, tgt, metric, threshold=1.0, system_name="m")
+    tgt = tuple((f"t_{i}", l) for i, l in rows)
+    a = match(rows, tgt, metric, threshold=1.0, system_name="m")
     assert set(a.pairs) == {(i, f"t_{i}") for i, _ in rows}

@@ -60,3 +60,12 @@ class TestComparisonConfig:
         assert nx1.correction is Correction.HOLM
         assert nx1 == ComparisonConfig(mode=Mode.NX1, baseline="AML",
                                        correction=Correction.HOLM)
+
+    @pytest.mark.parametrize("cap", [-1, 0, 1])
+    def test_bergmann_cap_below_two_rejected(self, cap):
+        with pytest.raises(ValueError, match=f"bergmann_cap {cap} "):
+            ComparisonConfig(bergmann_cap=cap)
+
+    def test_bergmann_cap_two_and_default_ten_accepted(self):
+        assert ComparisonConfig(bergmann_cap=2).bergmann_cap == 2
+        assert ComparisonConfig().bergmann_cap == 10
