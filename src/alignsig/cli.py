@@ -96,7 +96,7 @@ def match(args):
     try:
         src = ingest.parse_label_list(args.source.read_bytes())
         tgt = ingest.parse_label_list(args.target.read_bytes())
-        alignment = matcher.match(src, tgt, kind, args.threshold, args.name or kind.value)
+        alignment = matcher.match(src, tgt, kind, args.threshold, kind.value)
     except INPUT_ERRORS as exc:
         _fail_validation(exc)
     _write(args.output, ingest.write_alignment_tsv(alignment))
@@ -161,7 +161,7 @@ def _parser() -> argparse.ArgumentParser:
     # casefold before the choice check: metric names are case-insensitive
     option("--metric", type=str.casefold, choices=choices_of(MetricKind), required=True)
     option("--threshold", type=ingest.number, default=0.0, help="(default: %(default)s)")
-    option("--name", help="System name recorded in the output (default: the metric).")
+    option("--name", help="Ignored: the output TSV records no system name.")
     option("--output", type=Path, help="Output alignment TSV path (default: stdout).")
 
     command(rank)("--report", type=Path, required=True, help="JSON report produced by `compare`.")

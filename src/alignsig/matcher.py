@@ -5,8 +5,9 @@ whitespace), a dense similarity matrix is built, and the best one-to-one
 matching is extracted by Crouse's shortest augmenting path (Crouse 2016), the
 algorithm of scipy's `linear_sum_assignment`, ported to numpy so that the
 pairs are scipy's and scipy is not needed.  Each metric has one builder
-of the whole matrix: Levenshtein's is a bit-parallel kernel over all label
-pairs (Myers 1999; Hyyrö 2003); the other eight call their scalar function on
+of the whole matrix: Levenshtein's runs Myers' bit vectors (Myers 1999;
+Hyyrö 2003) over every source label at once, packed into one Python int, in
+one pass per target label; the other eight call their scalar function on
 each pair.
 """
 
@@ -39,127 +40,57 @@ def _hamming(a: str, b: str) -> float:
     return 1.0 - mismatches / longer
 
 
-#: Pairs per tile of the bit-parallel Levenshtein kernel.  Its state is a few
-#: uint64 arrays with one element per pair and pattern word, so the working set
-#: stays at a few hundred KB however many labels there are; only the output
-#: matrix grows with them.
-_LEVENSHTEIN_TILE_PAIRS = 8192
-
-_ONE = np.uint64(1)
-_TOP_BIT = np.uint64(63)
-
-
-def _encode(labels: Sequence[str]) -> Tuple[np.ndarray, np.ndarray, int]:
-    """(lengths, codes, alphabet size): characters as dense codes, rows zero-padded."""
-    lengths = np.array([len(s) for s in labels], dtype=np.intp)
-    text = "".join(labels)
-    alphabet = {c: code for code, c in enumerate(set(text))}
-    codes = np.zeros((len(labels), max(int(lengths.max(initial=0)), 1)), dtype=np.intp)
-    codes[np.arange(codes.shape[1]) < lengths[:, None]] = np.fromiter(
-        map(alphabet.__getitem__, text), dtype=np.intp, count=len(text)
-    )
-    return lengths, codes, len(alphabet)
-
-
-def _levenshtein_tile(
-    src_len: np.ndarray,
-    src_codes: np.ndarray,
-    tgt_len: np.ndarray,
-    tgt_codes: np.ndarray,
-    alphabet: int,
-) -> np.ndarray:
-    """Edit distances, shape (targets, sources), by Myers/Hyyrö bit vectors.
-
-    Each source is the pattern, one bit per character in 64-bit words; each
-    step consumes one character of every target still running.  Targets must
-    come longest first, so those still running form a prefix.  A target's
-    distance is read off its last column: D[m][n] = n + #(+1) - #(-1) over
-    the m vertical deltas.
-    """
-    n_src, n_tgt = len(src_len), len(tgt_len)
-    words = max(1, -(-int(src_len.max()) // 64))
-    # peq[w, a, k]: bit b set where source k has character a at 64 w + b
-    peq = np.zeros((words, alphabet, n_src), dtype=np.uint64)
-    k, i = np.nonzero(np.arange(src_codes.shape[1]) < src_len[:, None])
-    np.bitwise_or.at(
-        peq, (i >> 6, src_codes[k, i], k), np.left_shift(_ONE, (i & 63).astype(np.uint64))
-    )
-    inside = np.bitwise_or.reduce(peq, axis=1)[:, None, :]
-    vp = np.full((words, n_tgt, n_src), ~np.uint64(0))
-    vn = np.zeros((words, n_tgt, n_src), dtype=np.uint64)
-    dist = np.empty((n_tgt, n_src), dtype=np.int64)
-    scratch = np.empty((4, n_tgt, n_src), dtype=np.uint64)
-    # running[j]: how many targets are longer than j
-    running = np.searchsorted(-tgt_len, -np.arange(int(tgt_len[0]) + 1), side="left")
-    done = n_tgt
-    for j, act in enumerate(running.tolist()):
-        if act < done:
-            up = np.bitwise_count(vp[:, act:done] & inside).sum(axis=0, dtype=np.int64)
-            down = np.bitwise_count(vn[:, act:done] & inside).sum(axis=0, dtype=np.int64)
-            dist[act:done] = j + up - down
-            done = act
-        if act == 0:
-            break
-        x, d0, hp, hn = (buf[:act] for buf in scratch)
-        chars = tgt_codes[:act, j]
-        # row 0 of the DP is 0, 1, 2, ...: a +1 horizontal delta enters word 0
-        hp_in, hn_in = _ONE, np.uint64(0)
-        for w in range(words):
-            p, n = vp[w, :act], vn[w, :act]
-            # x = Eq | VN | HN shifted in; d0 = (((x & VP) + VP) ^ VP) | x
-            np.take(peq[w], chars, axis=0, out=x)
-            x |= n
-            x |= hn_in
-            np.bitwise_and(x, p, out=d0)
-            d0 += p
-            d0 ^= p
-            d0 |= x
-            # HP = VN | ~(d0 | VP), HN = VP & d0
-            np.bitwise_or(d0, p, out=hp)
-            np.invert(hp, out=hp)
-            hp |= n
-            np.bitwise_and(p, d0, out=hn)
-            if w + 1 < words:
-                # the deltas of the word's last row enter bit 0 of the next word
-                carry = hp >> _TOP_BIT, hn >> _TOP_BIT
-            hp <<= _ONE
-            hp |= hp_in
-            hn <<= _ONE
-            hn |= hn_in
-            # VP = HN | ~(d0 | HP), VN = HP & d0
-            np.bitwise_or(d0, hp, out=p)
-            np.invert(p, out=p)
-            p |= hn
-            np.bitwise_and(hp, d0, out=n)
-            if w + 1 < words:
-                hp_in, hn_in = carry
-    return dist
+def _bits(mask: np.ndarray) -> int:
+    """The int whose bit i is mask[i]."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 def _levenshtein_matrix(src_labels: Sequence[str], tgt_labels: Sequence[str]) -> np.ndarray:
     """Levenshtein similarity 1 - d / max(len a, len b) of every label pair.
 
-    Two empty labels score 1.0 and one empty label 0.0.  Pairs are processed
-    in tiles of at most _LEVENSHTEIN_TILE_PAIRS (one source row at least).
+    Two empty labels score 1.0 and one empty label 0.0.  The distances come
+    from Myers' bit vectors (Myers 1999; Hyyrö 2003) with every source label
+    in one Python int: label k is the segment of bits from starts[k], one per
+    character, and the guard bit above it stays 0.  Each step masks with
+    `body`, every bit but the guards, so no carry or shift leaves its segment,
+    and one pass over a target's characters runs the DP of every source.  A
+    distance is then read off the segment: D[m][n] = n + #(+1) - #(-1) over
+    the m vertical deltas.
     """
-    lengths, codes, alphabet = _encode([*src_labels, *tgt_labels])
-    n_src = len(src_labels)
-    src_len, src_codes = lengths[:n_src], codes[:n_src]
-    order = np.argsort(-lengths[n_src:], kind="stable")
-    tgt_len, tgt_codes = lengths[n_src:][order], codes[n_src:][order]
-    s = np.empty((n_src, len(order)))
-    cols = max(1, min(len(order), _LEVENSHTEIN_TILE_PAIRS))
-    rows = max(1, _LEVENSHTEIN_TILE_PAIRS // cols)
-    for c0 in range(0, len(order), cols):
-        tc = slice(c0, c0 + cols)
-        for r0 in range(0, n_src, rows):
-            sr = slice(r0, r0 + rows)
-            dist = _levenshtein_tile(
-                src_len[sr], src_codes[sr], tgt_len[tc], tgt_codes[tc], alphabet
-            ).T
-            longer = np.maximum(src_len[sr, None], tgt_len[None, tc])
-            s[sr, order[tc]] = 1.0 - dist / np.maximum(longer, 1)
-    return s
+    src_len = np.array([len(a) for a in src_labels], dtype=np.intp)
+    starts = np.cumsum(src_len + 1) - (src_len + 1)
+    # the code point at every bit; no character is 0x110000, the guards' code
+    codes = np.frombuffer(
+        "".join(a + "\0" for a in src_labels).encode("utf-32-le", "surrogatepass"), "<u4"
+    ).copy()
+    codes[starts + src_len] = 0x110000
+    peq = {c: _bits(codes == ord(c)) for c in set("".join(src_labels))}
+    body = _bits(codes != 0x110000)
+    lows = body & ~(body << 1)  # the bottom bit of each non-empty segment
+    n_bytes = -(-len(codes) // 8)
+    tgt_len = np.array([len(b) for b in tgt_labels], dtype=np.intp)
+    dist = np.empty((len(tgt_labels), len(src_labels)), dtype=np.int64)
+    for t, target in enumerate(tgt_labels):
+        vp, vn = body, 0
+        for c in target:
+            # x = Eq | VN; d0 = (((x & VP) + VP) ^ VP) | x
+            x = peq.get(c, 0) | vn
+            d0 = ((((x & vp) + vp) & body) ^ vp) | x
+            # HP = VN | ~(d0 | VP) and HN = VP & d0, shifted up a row; row 0
+            # of the DP is 0, 1, 2, ...: a +1 enters each segment's bottom bit
+            hp = (((vn | ((d0 | vp) ^ body)) << 1) & body) | lows
+            hn = ((vp & d0) << 1) & body
+            # VP = HN | ~(d0 | HP), VN = HP & d0
+            vp = ((d0 | hp) ^ body) | hn
+            vn = hp & d0
+        up, down = (
+            np.unpackbits(np.frombuffer(v.to_bytes(n_bytes, "little"), np.uint8), bitorder="little")
+            for v in (vp, vn)
+        )
+        dist[t] = len(target) + np.add.reduceat(up.view(np.int8) - down.view(np.int8), starts,
+                                                 dtype=np.int64)
+    longer = np.maximum(src_len[:, None], tgt_len[None, :])
+    return 1.0 - dist.T / np.maximum(longer, 1)
 
 
 def _jaro(a: str, b: str) -> float:

@@ -418,6 +418,15 @@ class TestMatch:
             assert result.exit_code == 0
             assert result.output == "m1\tm1\t=\t1\nm2\tm2\t=\t1\nm3\tm3\t=\t1\n"
 
+    def test_name_changes_no_output(self, runner, tmp_path):
+        # the TSV output records no system name, so --name is ignored
+        src = write(tmp_path, "src.tsv", LABELS)
+        args = ["match", "--source", src, "--target", src, "--metric", "levenshtein"]
+        results = [runner.invoke(main, args + extra)
+                   for extra in ([], ["--name", "X"], ["--name", " "])]
+        assert [r.exit_code for r in results] == [0, 0, 0]
+        assert len({r.output for r in results}) == 1
+
     def test_unknown_metric_lists_the_nine(self, runner, tmp_path):
         src = write(tmp_path, "src.tsv", LABELS)
         result = runner.invoke(main, [

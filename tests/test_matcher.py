@@ -282,8 +282,10 @@ class TestSimilarityMatrix:
 # a small alphabet, so that labels share characters, plus non-ASCII characters,
 # one of them outside the Basic Multilingual Plane
 _LABEL_CHARS = "ab é" + "ß\u0416\u6f22\U0001F600"
-_LABELS = st.lists(st.text(alphabet=_LABEL_CHARS, max_size=150), min_size=1, max_size=4)
-# lengths on both sides of the 64- and 128-character word boundaries
+# up to 12 labels a side, so that many segments of the packed sources lie side
+# by side
+_LABELS = st.lists(st.text(alphabet=_LABEL_CHARS, max_size=150), min_size=1, max_size=12)
+# lengths on both sides of 64 and 128 characters, one and two 64-bit words
 _BOUNDARY_LENGTHS = (0, 1, 2, 63, 64, 65, 127, 128, 129, 150)
 
 
@@ -300,6 +302,13 @@ class TestLevenshteinKernel:
         labels += ["a" * 70 + "b" * 60, "a" * 70 + "c" * 60, "x" + "a" * 149]
         assert np.array_equal(matcher._levenshtein_matrix(labels, labels[::-1]),
                               oracle_matrix(labels, labels[::-1]))
+        # runs of one letter side by side, some of them empty, against runs of
+        # that letter: every carry and shift reaches the top of its segment
+        runs = ["a" * rng.randint(0, 6) for _ in range(40)]
+        targets = ["a" * n for n in (0, 1, 3, 6, 9)]
+        assert "" in runs
+        assert np.array_equal(matcher._levenshtein_matrix(runs, targets),
+                              oracle_matrix(runs, targets))
 
     def test_labels_empty_after_normalization(self):
         src = (("s1", "__"), ("s2", "eye"), ("s3", "-"))
@@ -315,18 +324,6 @@ class TestLevenshteinKernel:
         m = matcher._levenshtein_matrix(src, tgt)
         assert m.shape == (len(src), len(tgt))
         assert np.array_equal(m, oracle_matrix(src, tgt))
-
-    @pytest.mark.parametrize("budget", [1, 2, 3, 5, 7])
-    def test_tiny_tile_budget(self, monkeypatch, budget):
-        # 9 x 8 pairs: many tiles, split over targets when the budget is below
-        # 8, with ragged last tiles on both axes
-        rng = random.Random(61)
-        src = ["".join(rng.choice("abc") for _ in range(rng.randint(0, 70))) for _ in range(9)]
-        tgt = ["".join(rng.choice("abc") for _ in range(rng.randint(0, 70))) for _ in range(8)]
-        expected = matcher._levenshtein_matrix(src, tgt)
-        monkeypatch.setattr(matcher, "_LEVENSHTEIN_TILE_PAIRS", budget)
-        assert np.array_equal(matcher._levenshtein_matrix(src, tgt), expected)
-        assert np.array_equal(expected, oracle_matrix(src, tgt))
 
     def test_similarity_is_a_view_of_the_matrix(self):
         labels = ["", "eye", "ear", "optic nerve", "nerve optic", "b" * 90]
