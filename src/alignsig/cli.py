@@ -11,7 +11,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import contingency, ingest, siggraph
+from . import contingency, ingest
 from .errors import AlignsigError
 from .model import ComparisonConfig, Correction, MetricKind, Mode, Perspective, TestKind
 
@@ -63,6 +63,7 @@ def _discordant_matrix(args, matrix: Path | None = None):
 
 def compare(args):
     """Pairwise McNemar comparison with FWER correction; emits DOT + report."""
+    from . import siggraph  # with fwer and mcnemar, only `compare` needs it
     try:
         cfg = ComparisonConfig(
             test=TestKind(args.test), mode=Mode(args.mode), baseline=args.baseline,

@@ -126,13 +126,6 @@ class DiscordantMatrix:
                     raise ValueError(f"cell {self.systems[i]!r}, {self.systems[j]!r} "
                                      "is outside the 64-bit integer range")
 
-    def index(self, name: str) -> int:
-        return self.systems.index(name)
-
-    def pair_counts(self, i: int, j: int) -> Tuple[int, int]:
-        """In-favor counts (for i, for j)."""
-        return self.m[i][j], self.m[j][i]
-
 
 def build_discordant_matrix(
     r: Alignment, systems: Sequence[Alignment], perspective: Perspective

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, FrozenSet, List, Sequence, Tuple
+from typing import Callable, FrozenSet, List, Tuple
 
 from .errors import ModeMismatch, TooManySystems
 from .model import DEFAULT_BERGMANN_CAP, Correction, Mode
@@ -50,14 +50,10 @@ class HypothesisSet:
         return len(self.raw_p)
 
 
-def _ordered_indices(p: Sequence[float]) -> List[int]:
-    return sorted(range(len(p)), key=lambda i: (p[i], i))
-
-
 def _stepdown(h: HypothesisSet, factor: Callable[[float, int], float]) -> APV:
     """Generic step-down adjustment: running max of factor(p_(j), j) over j <= i."""
     p = h.raw_p
-    order = _ordered_indices(p)
+    order = sorted(range(h.k), key=p.__getitem__)  # stable: ties keep their order
     apv = [0.0] * h.k
     running = 0.0
     for rank, idx in enumerate(order, start=1):
@@ -93,7 +89,7 @@ def adjust_hochberg(h: HypothesisSet) -> APV:
     """Step-up: running min of (k + 1 - j) * p_(j) from the largest p downward."""
     p = h.raw_p
     k = h.k
-    order = _ordered_indices(p)
+    order = sorted(range(k), key=p.__getitem__)
     apv = [0.0] * k
     running = 1.0
     for rank in range(k, 0, -1):

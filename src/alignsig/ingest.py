@@ -15,7 +15,6 @@ import codecs
 import gc
 import os
 from itertools import repeat
-from operator import attrgetter
 from typing import List, Sequence, Tuple
 
 from .errors import (
@@ -110,16 +109,12 @@ def parse_alignment_tsv(data: bytes, system_name: str) -> Alignment:
     return canonicalize_alignment(out, system_name)
 
 
-def _local(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
-
-
 class _LocalNames(dict):
     """One document's ``{namespace}name`` strings, each mapped to its local name
-    on first use, so that ``_local`` runs once per distinct string."""
+    on first use, so that each distinct string is split once per document."""
 
     def __missing__(self, name: str) -> str:
-        local = self[name] = _local(name)
+        local = self[name] = name.rsplit("}", 1)[-1]
         return local
 
 
@@ -163,14 +158,9 @@ def parse_alignment_xml(data: bytes, system_name: str) -> Alignment:
         # opens line 1
         raise XmlSyntax((1, 0), str(exc)) from exc
     names = _LocalNames()
-    cell_tags = [tag for tag in set(map(attrgetter("tag"), root.iter())) if names[tag] == "Cell"]
-    if len(cell_tags) == 1:  # the usual case: ElementTree finds the Cells in C
-        cells = root.iter(cell_tags[0])
-    else:  # Cells in several namespaces, in document order
-        cells = (elem for elem in root.iter() if names[elem.tag] == "Cell")
     out = []
-    cell_index = 0
-    for elem in cells:
+    cells = (elem for elem in root.iter() if names[elem.tag] == "Cell")
+    for cell_index, elem in enumerate(cells):
         entity1 = entity2 = ""
         measure = relation = None
         for child in elem:
@@ -187,7 +177,6 @@ def parse_alignment_xml(data: bytes, system_name: str) -> Alignment:
         row = _correspondence(entity1, entity2, confidence, "Cell", cell_index)
         _relation(relation, "Cell", cell_index)
         out.append(row)
-        cell_index += 1
     return canonicalize_alignment(out, system_name)
 
 

@@ -280,8 +280,9 @@ def _assign_rows(s: np.ndarray) -> List[int]:
     duals v move so that no reduced cost goes negative.  The floats and the
     ties are scipy's, so the pairs are the same, not only the total: a
     reduced cost is ((min_val - s) - u) - v, as min_val + (-s) is exactly
-    min_val - s, and of the columns at the minimum the search takes the last
-    unassigned one in scipy's `remaining` order, else the first.
+    min_val - s.  Of several columns at the minimum, the search takes the
+    unassigned one (row4col < 0) with the largest `pos`, its index in scipy's
+    `remaining`; if all are assigned, the one with the smallest `pos`.
     `remaining` starts as cols-1 ... 0, and a taken column is replaced by the
     last one.  Every step works on the full row, taken columns included.
     """
@@ -293,9 +294,6 @@ def _assign_rows(s: np.ndarray) -> List[int]:
     r, at_min = np.empty(n_cols), np.empty(n_cols, dtype=bool)
     for row in range(n_rows):
         remaining, pos = start.copy(), start.copy()
-        # tie rank: the unassigned columns above the assigned ones, the former
-        # rising and the latter falling with the position in `remaining`
-        rank = np.where(row4col < 0, n_cols + start, -1 - start)
         dist = np.full(n_cols, np.inf)
         # -inf on taken columns, so that their dist stays +inf
         v_open = v.copy()
@@ -311,12 +309,14 @@ def _assign_rows(s: np.ndarray) -> List[int]:
             np.minimum(dist, r, out=dist)
             min_val = dist[dist.argmin()]
             ties = np.equal(dist, min_val, out=at_min).nonzero()[0]
-            j = int(ties[rank[ties].argmax()] if len(ties) > 1 else ties[0])
+            j = int(ties[0])
+            if len(ties) > 1:
+                free = ties[row4col[ties] < 0]
+                j = int(free[pos[free].argmax()] if len(free) else ties[pos[ties].argmin()])
             taken.append(j)
             dist[j], v_open[j] = np.inf, -np.inf
             p, last = pos[j], remaining[n_cols - len(taken)]
             remaining[p], pos[last] = last, p
-            rank[last] = n_cols + p if rank[last] >= n_cols else -1 - p
             i = int(row4col[j])
         scanned_a, mins_a = np.array(scanned), np.array(mins)
         # augment along the path back from the unassigned column: taken[k]

@@ -58,10 +58,10 @@ class PairOutcome:
 class SignificanceGraph:
     """The result of one comparison: every pair's outcome, drawn as a digraph.
 
-    ``outcomes`` holds every compared pair in pair order.  ``edges`` holds the
-    significant ones, each drawn winner -> loser, sorted by (winner, loser).
-    ``perspective`` is the one the counts were taken under.  DOT, ranking and
-    report are views of it.
+    ``nodes`` holds the system names, sorted.  ``outcomes`` holds every
+    compared pair in pair order.  ``edges`` holds the significant ones, each
+    drawn winner -> loser, sorted by (winner, loser).  ``perspective`` is the
+    one the counts were taken under.  DOT, ranking and report are views of it.
     """
 
     nodes: Tuple[str, ...]
@@ -92,7 +92,8 @@ def pairwise_outcomes(m: DiscordantMatrix, cfg: ComparisonConfig) -> List[PairOu
     nominal k, but can never produce an edge.
     """
     pairs = _pairs_for_mode(m.systems, cfg)
-    counts = [m.pair_counts(m.index(a), m.index(b)) for a, b in pairs]
+    index = {name: i for i, name in enumerate(m.systems)}
+    counts = [(m.m[index[a]][index[b]], m.m[index[b]][index[a]]) for a, b in pairs]
     raw_p = tuple(run_test(cfg.test, n_a, n_b) if n_a or n_b else 1.0 for n_a, n_b in counts)
     apvs = adjust(HypothesisSet(len(m.systems), raw_p, cfg.mode), cfg.correction,
                   bergmann_cap=cfg.bergmann_cap)
@@ -126,7 +127,7 @@ def _dot_id(name: str) -> str:
 def emit_dot(g: SignificanceGraph) -> bytes:
     """Deterministic DOT rendering; byte-stable for golden-file comparison."""
     lines = ["digraph significance {"]
-    for name in sorted(g.nodes):
+    for name in g.nodes:
         lines.append(f"  {_dot_id(name)};")
     for e in g.edges:
         lines.append(f'  {_dot_id(e.winner)} -> {_dot_id(e.loser)} [label="{e.apv:.6f}"];')

@@ -405,6 +405,15 @@ class TestTable:
         ])
         assert result.output.splitlines()[1] == "S1\t0\t0"
 
+    def test_alignment_spec_without_equals_exits_2(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name, text in [("r.tsv", REF), ("a.tsv", SYS_A), ("b.tsv", SYS_B)]:
+            write(tmp_path, name, text)
+        result = runner.invoke(main, ["table", "--reference", "r.tsv",
+                                      "--alignment", "a.tsv", "--alignment", "S2=b.tsv"])
+        assert (result.exit_code, result.output) == (
+            2, "error: --alignment must be name=path, got 'a.tsv'\n")
+
 
 class TestMatch:
     def test_identity_at_threshold_one(self, runner, tmp_path):
@@ -582,14 +591,18 @@ class TestEntryPoint:
 HEAVY_MODULES = ("numpy", "scipy", "xml.etree.ElementTree", "multiprocessing",
                  "concurrent.futures")
 
-#: Runs the CLI on its arguments, then prints the heavy modules it loaded to stderr.
-FRESH_CLI = f"""
+#: The modules of the comparison stack, which only `compare` needs.
+COMPARISON_MODULES = ("alignsig.siggraph", "alignsig.fwer", "alignsig.mcnemar")
+
+#: Runs the CLI on its arguments, then prints the modules of WATCHED it loaded
+#: to stderr.
+FRESH_CLI = """
 import sys
 from alignsig.cli import main
 try:
     main(sys.argv[1:])
 finally:
-    print([m for m in {HEAVY_MODULES!r} if m in sys.modules], file=sys.stderr)
+    print([m for m in WATCHED if m in sys.modules], file=sys.stderr)
 """
 
 
@@ -600,15 +613,16 @@ def fresh_env():
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-def fresh_cli(*args, prelude=""):
+def fresh_cli(*args, prelude="", watched=HEAVY_MODULES):
     """The CLI run on `args` in a fresh interpreter, after the code `prelude`."""
-    return subprocess.run([sys.executable, "-c", prelude + FRESH_CLI, *args],
+    script = f"WATCHED = {watched!r}\n{prelude}{FRESH_CLI}"
+    return subprocess.run([sys.executable, "-c", script, *args],
                           env=fresh_env(), capture_output=True, text=True)
 
 
-def run_fresh(*args):
-    """(exit code, heavy modules loaded) of the CLI in a fresh interpreter."""
-    done = fresh_cli(*args)
+def run_fresh(*args, watched=HEAVY_MODULES):
+    """(exit code, modules of `watched` loaded) of the CLI in a fresh interpreter."""
+    done = fresh_cli(*args, watched=watched)
     return done.returncode, done.stderr.splitlines()[-1]
 
 
@@ -631,6 +645,20 @@ def test_counting_tsv_alignments_loads_no_numpy(tmp_path, command):
     b = write(tmp_path, "b.tsv", SYS_B)
     assert run_fresh(command, "--reference", ref, "--alignment", f"S1={a}",
                      "--alignment", f"S2={b}") == (0, "[]")
+
+
+@pytest.mark.parametrize("command", ["table", "match", "rank"])
+def test_only_compare_loads_the_comparison_stack(tmp_path, command):
+    if command == "table":
+        args = ["--reference", write(tmp_path, "ref.tsv", REF),
+                "--alignment", f"S1={write(tmp_path, 'a.tsv', SYS_A)}",
+                "--alignment", f"S2={write(tmp_path, 'b.tsv', SYS_B)}"]
+    elif command == "match":
+        labels = write(tmp_path, "labels.tsv", LABELS)
+        args = ["--source", labels, "--target", labels, "--metric", "levenshtein"]
+    else:
+        args = ["--report", str(Path(__file__).parent / "golden" / "anatomy_ifp_bergmann.json")]
+    assert run_fresh(command, *args, watched=COMPARISON_MODULES) == (0, "[]")
 
 
 def test_match_loads_numpy_only(tmp_path):
