@@ -9,14 +9,13 @@ system that invents mappings is penalized.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     BadSystemName, DuplicateSystemName, MalformedLine, NegativeCount, UniverseTooSmall,
 )
 from .ingest import integer, text_lines
-from .model import Alignment, ContingencyTable, Perspective
+from .model import Alignment, ContingencyTable, Perspective, Record
 
 #: The cell range a matrix holds, so that every one survives its TSV: that of
 #: a signed 64-bit integer.
@@ -95,8 +94,7 @@ def _check_names(names: Sequence[str]) -> None:
         seen.add(name)
 
 
-@dataclass(frozen=True)
-class DiscordantMatrix:
+class DiscordantMatrix(Record):
     """All-pairs in-favor counts: m[i][j] = correspondences counted for system i
     against system j under the given perspective.
 
@@ -114,7 +112,7 @@ class DiscordantMatrix:
         if n == 0 or len(self.m) != n or any(len(row) != n for row in self.m):
             raise ValueError("matrix shape must be n x n for n >= 1 systems")
         m = tuple(tuple(map(operator.index, row)) for row in self.m)
-        object.__setattr__(self, "m", m)
+        vars(self)["m"] = m
         if any(m[i][i] != 0 for i in range(n)):
             raise ValueError("diagonal entries must be zero")
         _check_names(self.systems)

@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, FrozenSet, List, Tuple
 
 from .errors import ModeMismatch, TooManySystems
-from .model import DEFAULT_BERGMANN_CAP, Correction, Mode
+from .model import DEFAULT_BERGMANN_CAP, Correction, Mode, Record
 
 APV = Tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class HypothesisSet:
+class HypothesisSet(Record):
     """The raw p-values of a pairwise family, by position.
 
     N x N: n(n-1)/2 p-values, one per pair in combinations(range(n), 2)

@@ -13,14 +13,13 @@ each pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from difflib import SequenceMatcher
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import EmptyTable
-from .model import Alignment, MetricKind, canonicalize_alignment  # MetricKind re-exported
+from .model import Alignment, MetricKind, Record, canonicalize_alignment  # MetricKind re-exported
 
 
 def normalize(raw_label: str) -> str:
@@ -253,8 +252,7 @@ def similarity(metric: MetricKind, a: str, b: str) -> float:
     return float(_MATRICES[metric]([a], [b])[0, 0])
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
+class SimilarityMatrix(Record):
     row_ids: Tuple[str, ...]
     col_ids: Tuple[str, ...]
     s: np.ndarray

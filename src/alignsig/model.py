@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
@@ -20,6 +19,7 @@ class Perspective(Enum):
 
 
 class TestKind(Enum):
+    __test__ = False  # not a pytest test class; a dunder is no enum member
     ASYMPTOTIC = "asymptotic"
     EXACT = "exact"
     CC = "cc"
@@ -62,8 +62,49 @@ NXN_ONLY_CORRECTIONS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Record:
+    """Base of the immutable value types, in place of a frozen dataclass.
+
+    A subclass's fields, `_fields`, are its annotations, in order; a class
+    attribute of the same name is a default.  `__post_init__` may check the
+    fields, or keep a normalised value in `vars(self)`.  Assignment and
+    deletion raise AttributeError; `==`, hash and repr go by type and field values.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        cls, fields = type(self), self._fields
+        rest = fields[len(args):]
+        if (len(args) > len(fields) or not kwargs.keys() <= set(rest)
+                or not all(name in kwargs or hasattr(cls, name) for name in rest)):
+            raise TypeError(f"{cls.__name__}() takes the fields {fields}, each once; got "
+                            f"{len(args)} by position and {sorted(kwargs)} by keyword")
+        kwargs.update(zip(fields, args))
+        vars(self).update({name: kwargs.get(name, getattr(cls, name, None)) for name in fields})
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash((type(self), *vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Alignment(Record):
     """A system's correspondences: each ``(source, target)`` key with its
     highest confidence.  Every key is an equivalence; order carries no meaning.
     """
@@ -95,8 +136,7 @@ def canonicalize_alignment(
     return Alignment(system_name.strip(), pairs)
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
+class ContingencyTable(Record):
     """The 2x2 McNemar table; n11 may be unknown under the CFP perspective."""
 
     n00: int
@@ -113,8 +153,7 @@ class ContingencyTable:
             raise ValueError("n11 must be >= 0 when present")
 
 
-@dataclass(frozen=True)
-class ComparisonConfig:
+class ComparisonConfig(Record):
     """Everything needed to turn a discordant matrix into a verdict graph.
 
     The perspective is not here: it belongs to the matrix the counts came from.
@@ -131,7 +170,7 @@ class ComparisonConfig:
     def __post_init__(self):
         if self.correction is None:
             default = Correction.BERGMANN if self.mode is Mode.NXN else Correction.HOLM
-            object.__setattr__(self, "correction", default)
+            vars(self)["correction"] = default
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha {self.alpha} outside (0, 1)")
         if self.bergmann_cap < 2:

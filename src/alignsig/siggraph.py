@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .contingency import DiscordantMatrix
 from .fwer import HypothesisSet, adjust
 from .mcnemar import run_test
-from .model import ComparisonConfig, Mode, Perspective, TestKind
+from .model import ComparisonConfig, Mode, Perspective, Record, TestKind
 
 NO_EVIDENCE_NOTE = "no discordant correspondences; systems indistinguishable"
 
@@ -18,8 +17,7 @@ NO_EVIDENCE_NOTE = "no discordant correspondences; systems indistinguishable"
 SMALL_SAMPLE_THRESHOLD = 25
 
 
-@dataclass(frozen=True)
-class PairOutcome:
+class PairOutcome(Record):
     """Result of one pairwise comparison, systems in lexicographic order."""
 
     system_a: str
@@ -54,8 +52,7 @@ class PairOutcome:
         return self.n_b if self.winner == self.system_a else self.n_a
 
 
-@dataclass(frozen=True)
-class SignificanceGraph:
+class SignificanceGraph(Record):
     """The result of one comparison: every pair's outcome, drawn as a digraph.
 
     ``nodes`` holds the system names, sorted.  ``outcomes`` holds every

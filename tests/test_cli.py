@@ -647,18 +647,32 @@ def test_counting_tsv_alignments_loads_no_numpy(tmp_path, command):
                      "--alignment", f"S2={b}") == (0, "[]")
 
 
-@pytest.mark.parametrize("command", ["table", "match", "rank"])
-def test_only_compare_loads_the_comparison_stack(tmp_path, command):
+def command_args(tmp_path, command):
+    """Arguments of a small run of `command`."""
+    if command == "compare":
+        return ["--matrix", str(fixture_path("anatomy-ifp"))]
     if command == "table":
-        args = ["--reference", write(tmp_path, "ref.tsv", REF),
+        return ["--reference", write(tmp_path, "ref.tsv", REF),
                 "--alignment", f"S1={write(tmp_path, 'a.tsv', SYS_A)}",
                 "--alignment", f"S2={write(tmp_path, 'b.tsv', SYS_B)}"]
-    elif command == "match":
+    if command == "match":
         labels = write(tmp_path, "labels.tsv", LABELS)
-        args = ["--source", labels, "--target", labels, "--metric", "levenshtein"]
-    else:
-        args = ["--report", str(Path(__file__).parent / "golden" / "anatomy_ifp_bergmann.json")]
-    assert run_fresh(command, *args, watched=COMPARISON_MODULES) == (0, "[]")
+        return ["--source", labels, "--target", labels, "--metric", "levenshtein"]
+    return ["--report", str(Path(__file__).parent / "golden" / "anatomy_ifp_bergmann.json")]
+
+
+@pytest.mark.parametrize("command", ["table", "match", "rank"])
+def test_only_compare_loads_the_comparison_stack(tmp_path, command):
+    assert run_fresh(command, *command_args(tmp_path, command),
+                     watched=COMPARISON_MODULES) == (0, "[]")
+
+
+@pytest.mark.parametrize("command", ["compare", "table", "match", "rank"])
+def test_no_command_loads_dataclasses(tmp_path, command):
+    # importing dataclasses pulls in inspect, dis, ast and tokenize; numpy
+    # loads inspect itself, so `match` is only checked for dataclasses
+    watched = ("dataclasses",) if command == "match" else ("dataclasses", "inspect")
+    assert run_fresh(command, *command_args(tmp_path, command), watched=watched) == (0, "[]")
 
 
 def test_match_loads_numpy_only(tmp_path):
