@@ -50,15 +50,17 @@ def _discordant_matrix(args, matrix: Path | None = None):
         return contingency.parse_matrix_tsv(matrix.read_bytes(), persp)
     if args.reference is None or len(args.alignments) < 2:
         raise ValueError("provide either --matrix or --reference plus >=2 --alignment entries")
-    files = [("reference", args.reference)]
+    # each system takes its counting step as soon as it is parsed, in a worker
+    # where there is a pool, so that no process holds two Alignments at once
+    step = contingency.system_step(*ingest.parse_alignment_files([("reference", args.reference)]))
+    files = []
     for spec in args.alignments:
         name, eq, path = spec.partition("=")
         if not eq:
-            ingest.parse_alignment_files(files)  # a bad file before the spec fails first
+            ingest.parse_alignment_files(files, step)  # a bad file before the spec fails first
             raise ValueError(f"--alignment must be name=path, got {spec!r}")
         files.append((name, Path(path)))
-    ref, *systems = ingest.parse_alignment_files(files)
-    return contingency.build_discordant_matrix(ref, systems, persp)
+    return contingency.count_discordant(ingest.parse_alignment_files(files, step), persp)
 
 
 def compare(args):

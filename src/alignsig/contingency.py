@@ -9,7 +9,7 @@ system that invents mappings is penalized.
 from __future__ import annotations
 
 import operator
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     BadSystemName, DuplicateSystemName, MalformedLine, NegativeCount, UniverseTooSmall,
@@ -24,27 +24,53 @@ _INT64 = range(-(1 << 63), 1 << 63)
 #: A system's correspondence ids as two bitsets: inside and outside the reference.
 _Bits = Tuple[int, int]
 
+#: What the per-system step keeps of an Alignment: its system name, the bitset
+#: of its keys inside the reference, and its keys outside it, in its order.
+Counted = Tuple[str, int, List[tuple]]
 
-def _bitsets(r: Alignment, systems: Sequence[Alignment]) -> Tuple[List[_Bits], int, int]:
-    """Each system's correspondences as bitsets inside and outside the reference.
 
-    Every correspondence key gets an integer id once: the reference's keys take
-    ``0..nr-1`` and keys only systems have take the ids after them.  Returns
-    ``(bits, nr, nids)``, where ``bits[i] = (Ai & R, Ai - R)``, each a Python int
-    whose set bits are the ids (those outside R shifted down by nr), and
-    ``nids = |R | A1 | ... | An|``.
+def system_step(r: Alignment) -> Callable[[Alignment], Counted]:
+    """The per-system step of the count against reference r.
+
+    It maps an Alignment A to ``(name, bits, outside)``: the set bits of the
+    int ``bits`` are the positions in r of the keys of ``A & R``, and
+    ``outside`` lists the keys of ``A - R``.  Nothing else of A is needed, so
+    A may be dropped once it has taken the step.
     """
     ids: Dict[tuple, int] = {key: i for i, key in enumerate(r.pairs)}
-    nr = len(ids)
+    size = (len(ids) + 7) >> 3
+
+    def step(a: Alignment) -> Counted:
+        bitmap = bytearray(size)
+        outside = []
+        for key in a.pairs:  # one loop: faster than set algebra on the keys
+            i = ids.get(key)
+            if i is None:
+                outside.append(key)
+            else:
+                bitmap[i >> 3] |= 1 << (i & 7)
+        return a.system_name, int.from_bytes(bitmap, "little"), outside
+
+    return step
+
+
+def _bitsets(counted: Sequence[Counted]) -> Tuple[List[_Bits], int]:
+    """Each system's correspondences as bitsets inside and outside the reference.
+
+    The second step of the count, after `system_step`: the keys outside R get
+    the ids ``0, 1, ...`` in the order the systems list them first.  Returns
+    ``(bits, nout)``, where ``bits[i] = (Ai & R, Ai - R)``, each a Python int
+    whose set bits are the ids, and ``nout = |(A1 | ... | An) - R|``.
+    """
+    ids: Dict[tuple, int] = {}
     bits = []
-    for a in systems:
-        row = [ids.setdefault(key, len(ids)) for key in a.pairs]
+    for _, inside, outside in counted:
+        row = [ids.setdefault(key, len(ids)) for key in outside]
         bitmap = bytearray((len(ids) + 7) >> 3)
         for i in row:
             bitmap[i >> 3] |= 1 << (i & 7)
-        members = int.from_bytes(bitmap, "little")
-        bits.append((members & ((1 << nr) - 1), members >> nr))
-    return bits, nr, len(ids)
+        bits.append((inside, int.from_bytes(bitmap, "little")))
+    return bits, len(ids)
 
 
 def _in_favor(a: _Bits, b: _Bits, perspective: Perspective) -> int:
@@ -71,7 +97,9 @@ def build_table(
     """
     if total_pairs is not None and total_pairs <= 0:
         raise ValueError("total_pairs must be positive when given")
-    (b1, b2), nr, union = _bitsets(r, (a1, a2))
+    (b1, b2), nout = _bitsets(list(map(system_step(r), (a1, a2))))
+    nr = len(r)
+    union = nr + nout
     if total_pairs is not None and total_pairs < union:
         raise UniverseTooSmall(total_pairs, union)
     n11 = (b1[0] & b2[0]).bit_count()
@@ -129,11 +157,16 @@ def build_discordant_matrix(
     r: Alignment, systems: Sequence[Alignment], perspective: Perspective
 ) -> DiscordantMatrix:
     """Assemble the all-pairs matrix of in-favor discordant counts."""
-    if len(systems) < 2:
+    return count_discordant(list(map(system_step(r), systems)), perspective)
+
+
+def count_discordant(counted: Sequence[Counted], perspective: Perspective) -> DiscordantMatrix:
+    """The all-pairs matrix of the systems that took `system_step` in order."""
+    if len(counted) < 2:
         raise ValueError("need at least 2 systems")
-    names = [a.system_name for a in systems]
+    names = [name for name, _, _ in counted]
     _check_names(names)  # before the all-pairs counting, not after it
-    bits, _, _ = _bitsets(r, systems)
+    bits, _ = _bitsets(counted)
     m = [[_in_favor(a, b, perspective) for b in bits] for a in bits]
     return DiscordantMatrix(systems=tuple(names), m=m, perspective=perspective)
 

@@ -6,7 +6,8 @@ tools emit (``Cell`` elements with ``entity1``/``entity2`` resources).
 ``parse_alignment`` picks a file's format; both parsers pass their raw entity,
 relation and confidence strings to the same three checks.
 ``parse_alignment_files`` reads and parses many files, in worker processes
-when they are large.
+when they are large, and may reduce each Alignment with a step where it was
+parsed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import codecs
 import gc
 import os
 from itertools import repeat
-from typing import List, Sequence, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
 from .errors import (
     BadConfidence, DuplicateId, MalformedLine, MissingEntity, NonEquivalenceRelation,
@@ -197,10 +198,12 @@ def parse_alignment(data: bytes, system_name: str) -> Alignment:
 
 #: Total input size from which `parse_alignment_files` parses in worker
 #: processes.  Importing and starting the pool costs about 45 ms.  On a 2-CPU
-#: x86-64 host, `table` on six Alignment XML files (medians of 15 alternating
-#: runs) took 0.175 s in one process and 0.191 s with the pool at 2.0 MB in
-#: all, and 0.296 s against 0.267 s at 4.0 MB; so the two break even near 3 MB.
-POOL_MIN_BYTES = 3 * 1024 * 1024
+#: x86-64 host, `table` on six Alignment XML files (medians of 31 alternating
+#: runs) took 0.210 s in one process and 0.218 s with the pool at 1.5 MB in
+#: all (the pool faster in 10 of 31 pairs), 0.258 s against 0.245 s at 2.0 MB
+#: (21 of 31) and 0.345 s against 0.295 s at 3.0 MB (27 of 31); so the two
+#: break even between 1.5 and 2 MB.
+POOL_MIN_BYTES = 2 * 1024 * 1024
 
 
 def _read_and_parse(file: Tuple[str, str | os.PathLike]) -> Alignment:
@@ -209,6 +212,24 @@ def _read_and_parse(file: Tuple[str, str | os.PathLike]) -> Alignment:
     with open(path, "rb") as fh:
         data = fh.read()
     return parse_alignment(data, name)
+
+
+def _keep(alignment: Alignment) -> Alignment:
+    return alignment
+
+
+#: The step a pool's worker applies to each Alignment it parses; set by
+#: `_set_step` as the worker starts.
+_step = _keep
+
+
+def _set_step(step: Callable[[Alignment], Any]) -> None:
+    global _step
+    _step = step
+
+
+def _read_parse_and_step(file: Tuple[str, str | os.PathLike]):
+    return _step(_read_and_parse(file))
 
 
 def _size(file: Tuple[str, str | os.PathLike]) -> int:
@@ -227,31 +248,37 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _parse_in_pool(files, sizes: List[int], workers: int) -> List[Alignment]:
+def _parse_in_pool(files, sizes: List[int], workers: int, step) -> list:
     # imported here: the two modules take about 30 ms to import, which small
     # inputs skip
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     # fork: a worker starts with this process's modules and paused GC, where
-    # a spawned one would import them again; the CLI runs no other thread
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    # a spawned one would import them again, and with `step` as it is, where
+    # each task would pickle it again; the CLI runs no other thread
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_set_step, initargs=(step,))
     try:
         # the largest files first, so that the last ones to finish are small
-        futures = {i: pool.submit(_read_and_parse, files[i])
+        futures = {i: pool.submit(_read_parse_and_step, files[i])
                    for i in sorted(range(len(files)), key=sizes.__getitem__, reverse=True)}
         return [futures[i].result() for i in range(len(files))]
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def parse_alignment_files(files: Sequence[Tuple[str, str | os.PathLike]]) -> List[Alignment]:
-    """Parse each (system name, path) pair's file, returning Alignments in order.
+def parse_alignment_files(files: Sequence[Tuple[str, str | os.PathLike]],
+                          step: Callable[[Alignment], Any] = _keep) -> list:
+    """Parse each (system name, path) pair's file; return, in order, what
+    `step` makes of each Alignment, by default the Alignment itself.
 
     Files of `POOL_MIN_BYTES` or more in all are parsed in worker processes,
-    one per CPU, where the platform can fork; the result, or the error of the
-    first bad file in order, is the same either way.  The cyclic garbage
-    collector is paused meanwhile, since parsed trees and rows hold no cycles.
+    one per CPU, where the platform can fork; each worker applies `step` to
+    its Alignments and sends back only the step's result, which must pickle
+    (`step` itself need not).  The result, or the error of the first bad file
+    in order, is the same either way.  The cyclic garbage collector is paused
+    meanwhile, since parsed trees and rows hold no cycles.
     """
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -260,8 +287,8 @@ def parse_alignment_files(files: Sequence[Tuple[str, str | os.PathLike]]) -> Lis
         if workers > 1 and hasattr(os, "fork"):
             sizes = list(map(_size, files))
             if sum(sizes) >= POOL_MIN_BYTES:
-                return _parse_in_pool(files, sizes, workers)
-        return list(map(_read_and_parse, files))
+                return _parse_in_pool(files, sizes, workers, step)
+        return [step(_read_and_parse(file)) for file in files]
     finally:
         if gc_was_enabled:
             gc.enable()

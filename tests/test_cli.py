@@ -779,10 +779,10 @@ def ingest_cli(mode, tmp_path, *args):
     return done.returncode, done.stdout, stderr, last
 
 
-def five_files(tmp_path, third=XML_SYSTEM, fifth=True):
-    """Arguments naming the reference and four systems, with the third and fifth
-    file given."""
-    write(tmp_path, "ref.tsv", REF)
+def five_files(tmp_path, third=XML_SYSTEM, fifth=True, ref=REF):
+    """Arguments naming the reference and four systems, with the reference, the
+    third and the fifth file given."""
+    write(tmp_path, "ref.tsv", ref)
     write(tmp_path, "a.tsv", SYS_A)
     write(tmp_path, "b.rdf", third)
     write(tmp_path, "c.tsv", SYS_B)
@@ -809,17 +809,20 @@ def test_pool_writes_the_sequential_output(tmp_path, command):
     assert outputs["pool"][0].count(b"\n") == (5 if command == "table" else 1)
 
 
-@pytest.mark.parametrize("third, fifth, error", [
-    ("<r><Cell>", False, "error: XML syntax error at (1, 9)"),
-    (XML_SYSTEM, False, "error: [Errno 2] No such file or directory: 'd.rdf'"),
-    ("<r><Cell>", True, "error: XML syntax error at (1, 9)"),
-    (XML_SYSTEM.replace("0.5", "high"), True, "error: Cell 1: confidence 'high'"),
-], ids=["bad-third-and-missing-fifth", "missing-fifth", "bad-third", "bad-measure"])
-def test_pool_raises_the_first_bad_files_error(tmp_path, third, fifth, error):
-    args = ["table", *five_files(tmp_path, third, fifth)]
+@pytest.mark.parametrize("third, fifth, ref, error", [
+    ("<r><Cell>", False, REF, "error: XML syntax error at (1, 9)"),
+    (XML_SYSTEM, False, REF, "error: [Errno 2] No such file or directory: 'd.rdf'"),
+    ("<r><Cell>", True, REF, "error: XML syntax error at (1, 9)"),
+    (XML_SYSTEM.replace("0.5", "high"), True, REF, "error: Cell 1: confidence 'high'"),
+    ("<r><Cell>", True, REF.replace("t3", "t3\t=\thigh"), "error: line 3: confidence 'high'"),
+], ids=["bad-third-and-missing-fifth", "missing-fifth", "bad-third", "bad-measure",
+        "bad-reference-and-third"])
+def test_pool_raises_the_first_bad_files_error(tmp_path, third, fifth, ref, error):
+    args = ["table", *five_files(tmp_path, third, fifth, ref)]
     sequential = ingest_cli("sequential", tmp_path, *args)
     pooled = ingest_cli("pool", tmp_path, *args)
     assert sequential[:3] == pooled[:3]
     code, stdout, stderr, last = pooled
-    assert (code, stdout, last) == (2, b"", "True 0")
+    # the reference is parsed before the pool starts, so its error ends the run first
+    assert (code, stdout, last) == (2, b"", f"{ref == REF} 0")
     assert len(stderr) == 1 and stderr[0].startswith(error)

@@ -1,10 +1,13 @@
 """Contingency builders checked against a per-correspondence classification oracle."""
 
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from test_cli import ingest_cli
 
 from alignsig.contingency import (
     DiscordantMatrix,
@@ -13,6 +16,7 @@ from alignsig.contingency import (
     parse_matrix_tsv,
     write_matrix_tsv,
 )
+from alignsig.cli import main
 from alignsig.errors import (
     BadSystemName, DuplicateSystemName, MalformedLine, NegativeCount, UniverseTooSmall,
 )
@@ -420,3 +424,74 @@ class TestOverlapKernel:
         for perspective in Perspective:
             m = build_discordant_matrix(r, systems, perspective)
             assert m.m == set_matrix(r, systems, perspective)
+
+
+def write_task(directory, r, systems):
+    """Write r and the systems as TSV files in `directory`; return the `table`
+    arguments that name them.
+
+    Every third key of each file is written again with a lower confidence and
+    every third but one again with a higher one, so the parse folds duplicates.
+    """
+    def tsv(a):
+        keys = list(a.pairs)
+        return "".join([f"{s}\t{t}\t=\t0.5\n" for s, t in keys]
+                       + [f"{s}\t{t}\t=\t0.25\n" for s, t in keys[::3]]
+                       + [f"{s}\t{t}\t=\t0.75\n" for s, t in keys[1::3]])
+
+    (directory / "ref.tsv").write_text(tsv(r))
+    args = ["table", "--reference", str(directory / "ref.tsv")]
+    for a in systems:
+        path = directory / f"{a.system_name}.tsv"
+        path.write_text(tsv(a))
+        args += ["--alignment", f"{a.system_name}={path}"]
+    return args
+
+
+def shared_and_late_false_keys():
+    """False keys shared by several systems, and one the last system adds first."""
+    r = align("R", [(f"r{i}", f"t{i}") for i in range(4)])
+    f0, f1, f2, f3 = [(f"f{i}", f"u{i}") for i in range(4)]
+    return r, [align("S0", [("r0", "t0"), ("r1", "t1"), f0, f1]),
+               align("S1", [("r1", "t1"), ("r2", "t2"), f1, f2]),
+               align("S2", [("r3", "t3"), f0, f2, f3])]
+
+
+def random_task(seed):
+    rng = random.Random(seed)
+    ref_keys = [(f"r{i}", f"t{i}") for i in range(rng.randint(0, 30))]
+    false_keys = [(f"f{i}", f"u{i}") for i in range(rng.randint(0, 30))]
+    keys = ref_keys + false_keys
+    return align("R", ref_keys), [align(f"S{k}", rng.sample(keys, rng.randint(0, len(keys))))
+                                  for k in range(rng.randint(2, 6))]
+
+
+def read_matrix(data, perspective):
+    return parse_matrix_tsv(data, perspective).m
+
+
+class TestFilePath:
+    """`table` counts files where they are parsed; its matrix is the set algebra's."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(counting_tasks(), st.sampled_from(list(Perspective)))
+    @example(shared_and_late_false_keys(), CFP)
+    def test_sequential_matrix_equals_set_algebra(self, task, perspective):
+        r, systems = task
+        with tempfile.TemporaryDirectory() as tmp:
+            output = Path(tmp) / "m.tsv"
+            main([*write_task(Path(tmp), r, systems), "--perspective", perspective.value,
+                  "--output", str(output)])
+            m = read_matrix(output.read_bytes(), perspective)
+        assert m == set_matrix(r, systems, perspective)
+
+    @pytest.mark.parametrize("perspective", list(Perspective))
+    @pytest.mark.parametrize("task", [shared_and_late_false_keys(), random_task(1),
+                                      random_task(2)], ids=["shared-and-late", "seed-1", "seed-2"])
+    def test_pooled_matrix_equals_set_algebra(self, tmp_path, task, perspective):
+        r, systems = task
+        args = write_task(tmp_path, r, systems)
+        code, stdout, stderr, last = ingest_cli("pool", tmp_path, *args,
+                                                "--perspective", perspective.value)
+        assert (code, stderr, last) == (0, [], "True 0")  # the pool ran
+        assert read_matrix(stdout, perspective) == set_matrix(r, systems, perspective)

@@ -191,7 +191,9 @@ def test_bad_arguments_raise_type_error(cls):
 @pytest.mark.parametrize("protocol", [0, pickle.HIGHEST_PROTOCOL])
 @record_types
 def test_pickling_keeps_type_and_values(cls, protocol):
-    # Alignments come back from the process pool of the XML parser pickled
+    # `ingest.parse_alignment_files` returns a library caller's Alignments
+    # pickled from its worker processes (the CLI's workers send back only
+    # each system's counting step)
     record = make(cls)
     copy = pickle.loads(pickle.dumps(record, protocol))
     assert type(copy) is cls
