@@ -108,9 +108,10 @@ def match(args):
 def rank(args):
     """Print rank groups from a comparison report, one '&'-joined row per group."""
     try:
-        # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors; json.loads
+        # raises RecursionError on arrays or objects nested too deep
         report = json.loads(args.report.read_text("utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         _fail_validation(exc)
     groups = report.get("ranking") if isinstance(report, dict) else None
     if not (isinstance(groups, list) and all(

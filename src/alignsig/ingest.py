@@ -20,7 +20,7 @@ from typing import Any, Callable, List, Sequence, Tuple
 
 from .errors import (
     BadConfidence, DuplicateId, MalformedLine, MissingEntity, NonEquivalenceRelation,
-    Undecodable, XmlSyntax,
+    Undecodable,
 )
 from .model import Alignment, canonicalize_alignment
 
@@ -110,22 +110,6 @@ def parse_alignment_tsv(data: bytes, system_name: str) -> Alignment:
     return canonicalize_alignment(out, system_name)
 
 
-class _LocalNames(dict):
-    """One document's ``{namespace}name`` strings, each mapped to its local name
-    on first use, so that each distinct string is split once per document."""
-
-    def __missing__(self, name: str) -> str:
-        local = self[name] = name.rsplit("}", 1)[-1]
-        return local
-
-
-def _resource(elem, names: _LocalNames) -> str:
-    for key, value in elem.attrib.items():
-        if names[key] == "resource":
-            return value
-    return ""
-
-
 #: Byte order marks of UTF-32 and UTF-16, UTF-32's first since its LE mark
 #: begins with UTF-16's; only XML files may use them.
 _WIDE_BOMS = (codecs.BOM_UTF32_LE, codecs.BOM_UTF32_BE, codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE)
@@ -146,34 +130,16 @@ def _xml_document(data: bytes) -> bytes | str:
 
 
 def parse_alignment_xml(data: bytes, system_name: str) -> Alignment:
-    """Parse the Alignment-format subset: Cell/entity1/entity2/measure/relation."""
-    import xml.etree.ElementTree as ET  # only alignment files are XML
+    """Parse the Alignment-format subset: Cell/entity1/entity2/measure/relation.
 
-    document = _xml_document(data)
-    try:
-        root = ET.fromstring(document)
-    except ET.ParseError as exc:
-        raise XmlSyntax(exc.position, str(exc)) from exc
-    except (LookupError, ValueError) as exc:
-        # an unknown or multi-byte encoding named by the XML declaration, which
-        # opens line 1
-        raise XmlSyntax((1, 0), str(exc)) from exc
-    names = _LocalNames()
+    The Cells' raw records are checked only once the whole document has
+    parsed, so that a syntax error anywhere beats a bad Cell.
+    """
+    from .xmlcells import read_cells  # only alignment files are XML
+
+    cells = read_cells(_xml_document(data))
     out = []
-    cells = (elem for elem in root.iter() if names[elem.tag] == "Cell")
-    for cell_index, elem in enumerate(cells):
-        entity1 = entity2 = ""
-        measure = relation = None
-        for child in elem:
-            name = names[child.tag]
-            if name == "entity1":
-                entity1 = _resource(child, names)
-            elif name == "entity2":
-                entity2 = _resource(child, names)
-            elif name == "measure":
-                measure = child.text or ""  # <measure/> is blank, not absent
-            elif name == "relation":
-                relation = child.text
+    for cell_index, (entity1, entity2, measure, relation) in enumerate(cells):
         confidence = _confidence(measure, "Cell", cell_index)
         row = _correspondence(entity1, entity2, confidence, "Cell", cell_index)
         _relation(relation, "Cell", cell_index)
@@ -278,7 +244,7 @@ def parse_alignment_files(files: Sequence[Tuple[str, str | os.PathLike]],
     its Alignments and sends back only the step's result, which must pickle
     (`step` itself need not).  The result, or the error of the first bad file
     in order, is the same either way.  The cyclic garbage collector is paused
-    meanwhile, since parsed trees and rows hold no cycles.
+    meanwhile, since the parsers' records and rows hold no cycles.
     """
     gc_was_enabled = gc.isenabled()
     gc.disable()

@@ -498,6 +498,14 @@ class TestRank:
             assert result.exit_code == 2, content
             assert isinstance(result.exception, SystemExit), content
 
+    def test_report_nested_too_deep_exits_2(self, runner, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_bytes(b"[" * 100_000)
+        result = runner.invoke(main, ["rank", "--report", str(deep)])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: maximum recursion depth exceeded")
+        assert result.output.count("\n") == 1
+
 
 def test_outputs_byte_identical_across_runs(runner, tmp_path):
     outs = []
@@ -588,7 +596,7 @@ class TestEntryPoint:
 
 
 #: Modules that only some commands need; each costs start-up time when loaded.
-HEAVY_MODULES = ("numpy", "scipy", "xml.etree.ElementTree", "multiprocessing",
+HEAVY_MODULES = ("numpy", "scipy", "xml.parsers.expat", "multiprocessing",
                  "concurrent.futures")
 
 #: The modules of the comparison stack, which only `compare` needs.
@@ -627,7 +635,7 @@ def run_fresh(*args, watched=HEAVY_MODULES):
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # numpy serves only `match`, xml.etree only XML alignments, and the process
+    # numpy serves only `match`, expat only XML alignments, and the process
     # pool only large inputs; loading them, or scipy, would slow every command
     assert run_fresh("--help") == (0, "[]")
 
@@ -645,6 +653,15 @@ def test_counting_tsv_alignments_loads_no_numpy(tmp_path, command):
     b = write(tmp_path, "b.tsv", SYS_B)
     assert run_fresh(command, "--reference", ref, "--alignment", f"S1={a}",
                      "--alignment", f"S2={b}") == (0, "[]")
+
+
+def test_counting_xml_alignments_loads_expat_but_no_element_tree(tmp_path):
+    ref = write(tmp_path, "ref.tsv", REF)
+    a = write(tmp_path, "a.rdf", XML_SYSTEM)
+    b = write(tmp_path, "b.tsv", SYS_B)
+    assert run_fresh("table", "--reference", ref, "--alignment", f"S1={a}",
+                     "--alignment", f"S2={b}", watched=("xml.parsers.expat", "xml.etree")
+                     ) == (0, "['xml.parsers.expat']")
 
 
 def command_args(tmp_path, command):

@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 from xml.sax.saxutils import quoteattr
 
 import pytest
@@ -484,24 +485,49 @@ def oracle_parse_alignment_xml(data: bytes, system_name: str):
     return canonicalize_alignment(out, system_name)
 
 
+def assert_matches_oracle(data: bytes):
+    """parse_alignment_xml gives the oracle's pairs, or its error type and message;
+    returns the oracle's pairs or error."""
+    try:
+        expected = oracle_parse_alignment_xml(data, "s").pairs
+    except AlignsigError as exc:
+        with pytest.raises(type(exc)) as raised:
+            parse_alignment_xml(data, "s")
+        assert str(raised.value) == str(exc)
+        return exc
+    assert parse_alignment_xml(data, "s").pairs == expected
+    return expected
+
+
 _ALIGN_NS = "http://knowledgeweb.semanticweb.org/heterogeneity/alignment"
 # a: is the Alignment namespace and x: a foreign one; an unprefixed name is in
 # no namespace, or in the Alignment namespace where the document declares it
 _NAMESPACES = (f'xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" '
                f'xmlns:a="{_ALIGN_NS}" xmlns:x="urn:foreign"')
+# &half; is declared by the internal subset, &ext; is external and &undef; is
+# declared nowhere: without a DTD both &ext; and &undef; are syntax errors, and
+# under an external subset an undeclared reference is skipped, in an attribute
+# silently and in text with an error
+_DOCTYPES = st.sampled_from([
+    "", '<!DOCTYPE r SYSTEM "r.dtd">',
+    '<!DOCTYPE r [<!ENTITY half "0.5"><!ENTITY ext SYSTEM "ext.xml">]>',
+    '<!DOCTYPE r SYSTEM "r.dtd" [<!ENTITY half "0.5"><!ENTITY ext SYSTEM "ext.xml">]>',
+])
 _CELLS = st.lists(st.tuples(
     st.sampled_from(["", "a:", "x:"]),  # the Cell's prefix
     st.sampled_from(["", "x:"]),  # its children's prefix
     st.sampled_from(["rdf:resource", "resource", "x:resource", "about"]),
-    st.sampled_from(["a", "b", " b ", ""]),
+    # entity1, quoted
+    st.sampled_from(["a", "b", " b ", ""]).map(quoteattr)
+    | st.sampled_from(['"a&half;"', '"a&undef;"', '"&ext;"']),
     st.sampled_from(["c", "d"]),
-    st.sampled_from([None, "0.5", "1", " 0.25 ", "high"]),
-    st.sampled_from([None, "=", " ", "<"]),
+    st.sampled_from([None, "0.5", "1", " 0.25 ", "high", "&half;", "&ext;", "0.&undef;"]),
+    st.sampled_from([None, "=", " ", "<", "&undef;"]),
 ), max_size=6)
 
 
 def _cell(prefix, child, key, entity1, entity2, measure, relation, inner="") -> str:
-    parts = [f"<{child}entity1 {key}={quoteattr(entity1)}/>",
+    parts = [f"<{child}entity1 {key}={entity1}/>",
              f"<{child}entity2 rdf:resource={quoteattr(entity2)}/>"]
     if measure is not None:
         parts.append(f"<{child}measure>{measure}</{child}measure>")
@@ -510,8 +536,8 @@ def _cell(prefix, child, key, entity1, entity2, measure, relation, inner="") -> 
     return f"<{prefix}Cell>{''.join(parts)}{inner}</{prefix}Cell>"
 
 
-@given(_CELLS, st.booleans(), st.booleans())
-def test_cells_in_mixed_namespaces_equal_the_oracle(cells, default_ns, root_is_cell):
+@given(_CELLS, st.booleans(), st.booleans(), _DOCTYPES)
+def test_cells_in_mixed_namespaces_equal_the_oracle(cells, default_ns, root_is_cell, doctype):
     xmlns = _NAMESPACES + (f' xmlns="{_ALIGN_NS}"' if default_ns else "")
     body = "".join(_cell(*c) for c in cells[root_is_cell:])
     if root_is_cell and cells:  # the other Cells nested in the root Cell
@@ -520,15 +546,141 @@ def test_cells_in_mixed_namespaces_equal_the_oracle(cells, default_ns, root_is_c
             f"<{prefix}Cell>", f"<{prefix}Cell {xmlns}>", 1)
     else:
         document = f"<rdf:RDF {xmlns}><Alignment><map>{body}</map></Alignment></rdf:RDF>"
-    data = document.encode()
-    try:
-        expected = oracle_parse_alignment_xml(data, "s").pairs
-    except AlignsigError as exc:
-        with pytest.raises(type(exc)) as raised:
+    assert_matches_oracle((doctype + document).encode())
+
+
+CELL = b'<entity1 resource="a"/><entity2 resource="b"/>'
+SYSTEM_DTD = b'<!DOCTYPE r SYSTEM "r.dtd">'
+EXTERNAL = b'<!DOCTYPE r [<!ENTITY ext SYSTEM "ext.xml">]>'
+
+
+def measured(measure: bytes, head: bytes = b"", before: bytes = b"") -> bytes:
+    """A one-Cell document whose Cell holds `measure` as its <measure>'s content."""
+    return (head + b"<r>" + before + b"<Cell>" + CELL
+            + b"<measure>" + measure + b"</measure></Cell></r>")
+
+
+class TestOracleCases:
+    """Documents on which a parser that reads expat's events could part from
+    ElementTree's: each gives the oracle's pairs, or its error and message."""
+
+    @pytest.mark.parametrize("data, expected", [
+        # undefined and external entities in text: ElementTree's "undefined
+        # entity" error wherever the reference stands
+        (measured(b"&foo;", SYSTEM_DTD), XmlSyntax),
+        (measured(b"0.5", SYSTEM_DTD, b"<label>&foo;</label>"), XmlSyntax),
+        (measured(b"&ext;", EXTERNAL), XmlSyntax),
+        (measured(b"0.5", EXTERNAL).replace(
+            b"<r>", b'<r xmlns="u" xmlns:p="v"><relation>&ext;</relation>'), XmlSyntax),
+        (measured(b"&e;", b'<!DOCTYPE r SYSTEM "r.dtd" [<!ENTITY e "0.&foo;">]>'), XmlSyntax),
+        (measured(b"&e;", b'<!DOCTYPE r [<!ENTITY ext SYSTEM "x"><!ENTITY e "&ext;">]>'),
+         XmlSyntax),
+        (measured(b"&q;", b'<!DOCTYPE r [<!ENTITY % pe SYSTEM "p.dtd"> %pe;]>'), XmlSyntax),
+        (measured("&{};".format("é" * 60).encode(), SYSTEM_DTD), XmlSyntax),
+        (measured(b"&foo;", b'<?xml version="1.0" standalone="yes"?>' + SYSTEM_DTD), XmlSyntax),
+        (measured(b"&foo;"), XmlSyntax),
+        # ... and in attributes: skipped under an external subset, an error if external
+        (measured(b"0.5", SYSTEM_DTD).replace(b'"a"', b'"a&foo;"'), {("a", "b"): 0.5}),
+        (measured(b"0.5", EXTERNAL).replace(b'"a"', b'"&ext;"'), XmlSyntax),
+        (measured(b"&half;", b'<!DOCTYPE r [<!ENTITY half "0.5">]>'), {("a", "b"): 0.5}),
+        # an attribute the DTD defaults counts as given
+        (measured(b"0.5", b'<!DOCTYPE r [<!ATTLIST entity1 resource CDATA "z">]>')
+         .replace(b' resource="a"', b""), {("z", "b"): 0.5}),
+        # a syntax error or an entity error anywhere beats a bad Cell
+        (measured(b"high") + b"<", XmlSyntax),
+        (measured(b"0.5", SYSTEM_DTD, b"<Cell>" + CELL + b"<measure>high</measure></Cell>")
+         .replace(b"</r>", b"<label>&foo;</label></r>"), XmlSyntax),
+        # comments, processing instructions and CDATA inside <measure>
+        (measured(b"0.<!-- c -->2<?pi x?><![CDATA[5]]>"), {("a", "b"): 0.25}),
+        (measured(b"<![CDATA[]]><!-- c -->"), BadConfidence),
+        (measured(b"<!-- 0.5 -->"), BadConfidence),
+        # a child element ends the text
+        (measured(b"0.5<unit>x</unit>9"), {("a", "b"): 0.5}),
+        (measured(b"<unit/>0.5"), BadConfidence),
+        (measured(b"0.5").replace(b"</Cell>", b"<relation>=<x/>&lt;</relation></Cell>"),
+         {("a", "b"): 0.5}),
+        (measured(b"0.5").replace(b"</Cell>", b"<relation><x/>&lt;</relation></Cell>"),
+         {("a", "b"): 0.5}),
+        (measured(b"0.5").replace(b"</Cell>", b"<relation>&lt;<x/>=</relation></Cell>"),
+         NonEquivalenceRelation),
+        # more text than expat's 8 KiB buffer holds, split across calls
+        (measured(b" " * 9000 + b"0.5" + b"\n" * 9000), {("a", "b"): 0.5}),
+        (measured(b"0." + b"25" * 5000), {("a", "b"): float("0." + "25" * 5000)}),
+        (measured(b"0.5" * 3000), BadConfidence),
+        # nested Cells, the outer one numbered first whichever of them is bad
+        (b"<r><Cell><measure>high</measure><Cell>" + CELL
+         + b"<measure>2</measure></Cell>" + CELL + b"</Cell></r>", BadConfidence),
+        (b"<r><Cell>" + CELL + b"<Cell>" + CELL + b"<measure>2</measure></Cell>"
+         b"<measure>high</measure></Cell></r>", BadConfidence),
+        (b"<r><Cell>" + CELL + b"<Cell><measure>0.5</measure></Cell>"
+         b"<measure>0.25</measure></Cell></r>", MissingEntity),
+        (b"<r><Cell>" + CELL + b"<Cell>" + CELL.replace(b"a", b"c")
+         + b"<measure>0.5</measure></Cell><measure>0.25</measure></Cell></r>",
+         {("a", "b"): 0.25, ("c", "b"): 0.5}),
+        # declared encodings: expat's own, a single-byte codec, a multi-byte
+        # codec and no codec at all
+        (measured(b"0.5", b'<?xml version="1.0" encoding="ISO-8859-1"?>')
+         .replace(b'"a"', b'"\xe9"'), {("é", "b"): 0.5}),
+        (measured(b"0.5", b'<?xml version="1.0" encoding="cp1252"?>')
+         .replace(b'"a"', b'"\x80"'), {("€", "b"): 0.5}),
+        (measured(b"0.5", b'<?xml version="1.0" encoding="UTF-16-BE"?>'), XmlSyntax),
+        (measured(b"0.5", b'<?xml version="1.0" encoding="shift_jis"?>'), XmlSyntax),
+        (measured(b"0.5", b'<?xml version="1.0" encoding="bogus"?>'), XmlSyntax),
+    ])
+    def test_same_as_the_oracle(self, data, expected):
+        outcome = assert_matches_oracle(data)
+        if isinstance(expected, dict):
+            assert outcome == expected
+        else:
+            assert type(outcome) is expected
+
+    def test_undefined_entity_error_is_element_trees(self):
+        data = measured(b"&foo;", SYSTEM_DTD)
+        column = data.index(b"&")
+        with pytest.raises(XmlSyntax) as exc:
             parse_alignment_xml(data, "s")
-        assert str(raised.value) == str(exc)
-    else:
-        assert parse_alignment_xml(data, "s").pairs == expected
+        assert exc.value.position == (1, column)
+        assert exc.value.message == f"undefined entity &foo;: line 1, column {column}"
+        with pytest.raises(XmlSyntax) as exc:  # cut at 100 bytes, as ElementTree does
+            parse_alignment_xml(measured(b"&" + b"x" * 120 + b";", SYSTEM_DTD), "s")
+        assert exc.value.message == f"undefined entity &{'x' * 99}: line 1, column {column}"
+
+
+def xml_document(n_cells: int) -> bytes:
+    """An Alignment document of `n_cells` distinct Cells."""
+    return _as_xml([(f"http://s#{i}", f"http://t#{i}", "=", (f"0.{i % 10}", None))
+                    for i in range(n_cells)])
+
+
+def test_parse_leaves_no_cycles():
+    # ingest runs with the cyclic garbage collector paused, and forked workers
+    # never resume it: a cycle would keep a file's records alive
+    data = xml_document(200)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert len(parse_alignment_xml(data, "s")) == 200
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_parse_holds_under_half_the_memory_of_a_tree():
+    # about the Cells of the largest benchmark file; tracemalloc makes a
+    # larger document slow
+    data = xml_document(5000)
+
+    def peak(parse) -> int:
+        tracemalloc.start()
+        try:
+            assert len(parse(data, "s")) == 5000
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(parse_alignment_xml) < peak(oracle_parse_alignment_xml) / 2
 
 
 class TestParseAlignmentFiles:
