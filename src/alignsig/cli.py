@@ -115,9 +115,12 @@ def rank(args):
         _fail_validation(exc)
     groups = report.get("ranking") if isinstance(report, dict) else None
     if not (isinstance(groups, list) and all(
-            isinstance(group, list) and all(isinstance(name, str) for name in group)
+            isinstance(group, list) and group and all(isinstance(name, str) for name in group)
             for group in groups)):
-        _fail_validation("report holds no 'ranking' list of system-name lists")
+        _fail_validation("report holds no 'ranking' list of non-empty system-name lists")
+    names = [name for group in groups for name in group]
+    if len(set(names)) < len(names):
+        _fail_validation("report's 'ranking' names a system more than once")
     _write(None, _ranking(groups))
 
 

@@ -2,24 +2,33 @@
 
 Each returns its two-sided p-value, symmetric in its arguments.  The exact
 and mid-p values are the nearest doubles to their true values at every n.
-With n = n01 + n10, b = max(n01, n10) and m = n - b:
+With n = n01 + n10, b = max(n01, n10), m = n - b, k = ceil(n / 2) and
+d = b - k, the distance of b from the centre:
 
-- The point probability C(n, b) / 2**n is a product of m ratios, taken in
-  blocks of ``_BLOCK`` ratios with ``math.perm``.  When the counts differ by
-  at most 1, the doubled tail reaches 2**n, so the exact p is the constant 1
-  and the mid-p is 1 minus the point.  Otherwise the tail is that point times
-  a sum of ratio products whose terms fall off like a Gaussian in their index.
+- When Hoeffding's bound 2 exp(-(2b - n)**2 / (2n)) on the exact p is below
+  2**-1075, both p-values round to 0.0 and nothing is summed.  Past that
+  test, d is below 20 sqrt(n).
+- The point probability C(n, b) / 2**n is a product of min(m, d) ratios,
+  taken in blocks of ``_BLOCK`` ratios with ``math.perm``: m ratios from 1
+  when m <= d, else d ratios from the central term C(2k, k) / 4**k.  That
+  term comes from Stirling's series in fixed point, at a cost that k does
+  not drive (``_stirling_central``).  Below the k where the series cannot
+  reach the precision (517 at ``_BITS``), the m ratios are taken instead.
+- When the counts differ by at most 1, the doubled tail reaches 2**n, so the
+  exact p is the constant 1 and the mid-p is 1 minus the point.  Otherwise
+  the tail is that point times a sum of ratio products whose terms fall off
+  like a Gaussian in their index.
 - Both are carried in ``_BITS``-bit fixed point with a proven bound on what
   the rounding down lost, which gives an interval holding each true p-value.
   When both ends of each interval round to the same double (Ziv's rounding
   test), that double is the correctly rounded p-value: CPython rounds
-  int / int correctly, subnormals included.  This costs about m / ``_BLOCK``
-  big-integer blocks plus O(sqrt(n * _BITS)) operations on ``_BITS``-bit
-  integers.
+  int / int correctly, subnormals included.  This costs about
+  min(m, d) / ``_BLOCK`` big-integer blocks plus O(sqrt(n * _BITS))
+  operations on ``_BITS``-bit integers.
 - When an interval straddles a rounding boundary, ``_exact_counts`` decides:
   it sums the tail exactly in integers over 2**n, in O(n²), and divides once.
 
-Either way the result is the same double, so the fast path changes no bit.
+Either way the result is the same double, so the fast paths change no bit.
 """
 
 from __future__ import annotations
@@ -37,6 +46,20 @@ _BITS = 192
 
 #: Ratios of the point probability multiplied in per ``math.perm`` block.
 _BLOCK = 64
+
+#: Extra fixed-point bits of the central term, so that its rounding errors
+#: cost the ``_BITS``-bit result only a few units.
+_GUARD = 8
+
+#: B_2j / (2j (2j - 1)), j = 1..12: Stirling's series is
+#: ln x! = x ln x - x + ln(2 pi x) / 2 + psi(x), psi(x) = sum_j of these / x**(2j - 1).
+_STIRLING = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188), (-691, 360360),
+             (1, 156), (-3617, 122400), (43867, 244188), (-174611, 125400),
+             (77683, 5796), (-236364091, 1506960))
+
+#: floor(pi * 2**_PI_BITS), whose hex digits are pi's: 3.243f6a8885a308d3...
+_PI = 0x3243F6A8885A308D313198A2E03707344A4093822299F31D0082EFA98EC4E6C89
+_PI_BITS = 256
 
 
 def chi2_sf_1df(x: float) -> float:
@@ -89,27 +112,108 @@ def _exact_counts(n01: int, n10: int) -> Tuple[int, int, int]:
     return min(2 * tail, whole), point, whole
 
 
-def _point_interval(n: int, b: int, bits: int) -> Tuple[int, int, int]:
-    """(u, u_hi, e) with u * 2**e <= C(n, b) / 2**n <= u_hi * 2**e.
+def _ratios(u: int, w: int, e: int, top: int, bottom: int, count: int,
+            bits: int) -> Optional[Tuple[int, int, int]]:
+    """[u, u + w] * 2**e times perm(top, count) / perm(bottom, count).
 
-    C(n, b) = prod_{j=1..m} (b + j) / j for m = n - b.  The product is taken
-    in K = ceil(m / _BLOCK) blocks, each the ratio of two falling factorials
-    of g <= _BLOCK factors.  It is kept as u * 2**e with u of exactly bits + 1
-    bits.  A block floors twice, once in the division and once in the
-    renormalising shift, and both results are at least 2**bits, so each floor
-    loses less than 2**-bits relative.  With K * 2**(1 - bits) <= 1/2, which
-    m < 2**(bits - 1) ensures, the K blocks together lose less than 8K units
-    of u; u_hi allows 8m + 8 >= 8K.
+    Returns (u, u_hi, e) like ``_point_interval``, or None when 4K + w >
+    2**(bits - 1), where the bound below is not proven.  u has exactly
+    bits + 1 bits, before and after.  The product is taken in
+    K = ceil(count / _BLOCK) blocks, each the ratio of two falling factorials
+    of g <= _BLOCK factors.  A block shifts u up until the division floors to
+    at least 2**bits, then shifts it back to bits + 1 bits, which floors too;
+    each floor loses less than 2**-bits relative.  So the true value is below
+    u (1 + a)(1 + c) <= u (1 + 9/8 (a + c)) with a = 4K * 2**-bits for the
+    2K floors and c = w * 2**-bits for the input's width, and u < 2**(bits + 1)
+    makes that fewer than 9K + 3w units.
     """
-    m = n - b
-    u, e = 1 << bits, -bits - n
-    for j in range(1, m + 1, _BLOCK):
-        g = min(_BLOCK, m + 1 - j)
-        u = u * math.perm(b + j + g - 1, g) // math.perm(j + g - 1, g)
+    blocks = -(-count // _BLOCK)
+    if 4 * blocks + w > 1 << (bits - 1):
+        return None
+    for j in range(0, count, _BLOCK):
+        g = min(_BLOCK, count - j)
+        num, den = math.perm(top - j, g), math.perm(bottom - j, g)
+        up = max(0, den.bit_length() - num.bit_length() + 1)
+        u = (u * num << up) // den
         shift = u.bit_length() - bits - 1
         u >>= shift
-        e += shift
-    return u, u + 8 * m + 8, e
+        e += shift - up
+    return u, u + 9 * blocks + 3 * w, e
+
+
+def _psi(x: int, f: int) -> Optional[Tuple[int, int]]:
+    """(s, j) with |psi(x) * 2**f - s| < j, or None if ``_STIRLING`` runs out.
+
+    psi(x) is the sum in Stirling's series.  For real x > 0 its remainder
+    after any term is at most the first omitted term (DLMF 5.11(ii)), so the
+    sum stops at the first term below 2**-f; the j - 1 terms before it each
+    floor by less than one unit.
+    """
+    s, p = 0, x
+    for j, (num, den) in enumerate(_STIRLING, 1):
+        t = (abs(num) << f) // (den * p)
+        if not t:
+            return s, j
+        s += t if num > 0 else -t
+        p *= x * x
+    return None
+
+
+def _stirling_central(k: int, bits: int) -> Optional[Tuple[int, int, int]]:
+    """(c, c_hi, e) with c * 2**e <= C(2k, k) / 4**k <= c_hi * 2**e, or None.
+
+    c has bits + 1 bits.  By Stirling's formula the central term is
+    exp(L) / sqrt(pi k) with L = psi(2k) - 2 psi(k), and Robbins' bounds
+    1 / (12x + 1) < psi(x) < 1 / (12x) put L in (-1/6, 0).  In fixed point of
+    f = bits + ``_GUARD`` bits, L * 2**f lies within err of s2 - 2 s1, so
+    L >= -a * 2**-f with 0 < a < 2**(f - 1).  The alternating Taylor series
+    of exp(-a * 2**-f), each term at most half the one before, gives s within
+    2i units after i terms: each floors by less than 2 units, and the
+    remainder is below the first omitted term, which floored to 0.  As
+    L <= (2 err - a) * 2**-f and exp(-a * 2**-f) <= 1, exp(L) is at most
+    4 err units above that.  One isqrt gives r <= 2**g / sqrt(pi k) < r + 2,
+    which holds while g <= ``_PI_BITS``.  None when the series cannot reach
+    2**-f at k, or g is past ``_PI_BITS``.
+    """
+    f = bits + _GUARD
+    g = f + k.bit_length() // 2 + 2
+    psi_k = _psi(k, f)
+    if psi_k is None or g > _PI_BITS:
+        return None
+    (s1, j1), (s2, j2) = psi_k, _psi(2 * k, f)  # its terms are below those at k
+    err = j2 + 2 * j1
+    a = 2 * s1 - s2 + err
+    t = s = 1 << f
+    i = 0
+    while t:
+        i += 1
+        t = t * a // (i << f)
+        s += -t if i & 1 else t
+    r = math.isqrt((1 << (2 * g + _PI_BITS)) // ((_PI + 1) * k))
+    lo = (s - 2 * i) * r
+    shift = lo.bit_length() - bits - 1
+    return lo >> shift, ((s + 2 * i + 4 * err) * (r + 2) >> shift) + 1, shift - f - g
+
+
+def _point_interval(n: int, b: int, bits: int) -> Optional[Tuple[int, int, int]]:
+    """(u, u_hi, e) with u * 2**e <= C(n, b) / 2**n <= u_hi * 2**e, or None.
+
+    u has exactly bits + 1 bits.  With m = n - b, C(n, b) is the product
+    perm(n, m) / perm(m, m) of m ratios from 1.  With k = ceil(n / 2) and
+    d = b - k, it is also C(n, k) perm(n - k, d) / perm(b, d), d ratios from
+    the centre, where C(n, k) / 2**n = C(2k, k) / 4**k for odd n too.  The
+    centre is taken when d < m and ``_stirling_central`` reaches k.  None
+    when ``_ratios`` cannot bound the product.
+    """
+    m = n - b
+    k = (n + 1) // 2
+    d = b - k
+    if d < m:
+        centre = _stirling_central(k, bits)
+        if centre is not None:
+            c, c_hi, e = centre
+            return _ratios(c, c_hi - c, e, n - k, b, d, bits)
+    return _ratios(1 << bits, 0, -bits - n, n, m, m, bits)
 
 
 def _tail_ratio_interval(m: int, b: int, bits: int) -> Tuple[int, int]:
@@ -138,9 +242,10 @@ def _certified_pvalues(n: int, b: int) -> Optional[Tuple[float, float]]:
     """
     bits = _BITS
     m = n - b
-    if m >> (bits - 1):
-        return None  # the point bound needs K * 2**(1 - bits) <= 1/2
-    u, u_hi, e = _point_interval(n, b, bits)
+    point = _point_interval(n, b, bits)
+    if point is None:
+        return None
+    u, u_hi, e = point
     if b - m <= 1:
         # counts 0 or 1 apart: exact p = 1 and mid-p = 1 - C / 2**n, over 2**-e
         whole = 1 << -e
@@ -166,6 +271,11 @@ def _pvalues(n01: int, n10: int) -> Tuple[float, float]:
     """(exact p, mid-p), each the nearest double to its true value."""
     n = n01 + n10
     b = max(n01, n10)
+    # Hoeffding: the exact p is at most 2 exp(-(2b - n)**2 / (2n)).  Past this
+    # test, with ln 2 < 0.6931472, that bound is below 2**-1075, so both
+    # p-values round to 0.0.
+    if (2 * b - n) ** 2 * 10**7 > 2 * 1076 * 6931472 * n:
+        return 0.0, 0.0
     certified = _certified_pvalues(n, b)
     if certified is not None:
         return certified

@@ -498,6 +498,18 @@ class TestRank:
             assert result.exit_code == 2, content
             assert isinstance(result.exception, SystemExit), content
 
+    @pytest.mark.parametrize("ranking, message", [
+        ('[["a"], ["a"]]', "report's 'ranking' names a system more than once"),
+        ('[["a", "b", "a"]]', "report's 'ranking' names a system more than once"),
+        ('[[]]', "report holds no 'ranking' list of non-empty system-name lists"),
+        ('[["a"], []]', "report holds no 'ranking' list of non-empty system-name lists"),
+    ], ids=["repeated-across-groups", "repeated-in-a-group", "empty", "empty-after-one"])
+    def test_malformed_ranking_exits_2(self, runner, tmp_path, ranking, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"ranking": {ranking}}}', "utf-8")
+        result = runner.invoke(main, ["rank", "--report", str(bad)])
+        assert (result.exit_code, result.output) == (2, f"error: {message}\n")
+
     def test_report_nested_too_deep_exits_2(self, runner, tmp_path):
         deep = tmp_path / "deep.json"
         deep.write_bytes(b"[" * 100_000)

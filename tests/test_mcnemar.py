@@ -1,7 +1,10 @@
 """McNemar statistics against independent binomial / chi-square oracles."""
 
+import functools
+import itertools
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -73,10 +76,68 @@ _DISCORDANT = st.one_of(
 @example((1, 0))
 @example((7, 7))
 @example((8, 7))
+# pairs that Hoeffding's bound sends to 0.0: the first of the form (0, n), and
+# one whose smaller count is not 0
+@example((0, 1492))
+@example((2700, 300))
 def test_exact_and_midp_equal_the_fraction_oracle(counts):
     exact_p, mid_p = fraction_oracle(*counts)
     assert exact_test(*counts) == exact_p
     assert midp_test(*counts) == mid_p
+
+
+def test_fraction_oracle_reaches_the_centre_path(monkeypatch):
+    # the property above checks the Stirling central term, not only the product
+    central, reached = mcnemar._stirling_central, []
+
+    def spy(k, bits):
+        interval = central(k, bits)
+        reached.append(interval is not None)
+        return interval
+
+    monkeypatch.setattr(mcnemar, "_stirling_central", spy)
+    test_exact_and_midp_equal_the_fraction_oracle()
+    assert any(reached)
+
+
+@functools.cache
+def _series_threshold(bits):
+    """The least k whose central term Stirling's series reaches at `bits`."""
+    return next(k for k in itertools.count(1) if mcnemar._stirling_central(k, bits))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(16, 64), st.integers(0, 3000))
+@example(16, 0)
+@example(192, 0)
+@example(192, 2500)
+def test_central_term_interval_holds_the_binomial_fraction(bits, offset):
+    k = _series_threshold(bits) + offset
+    c, c_hi, e = mcnemar._stirling_central(k, bits)
+    assert c.bit_length() == bits + 1
+    assert c * Fraction(2) ** e <= Fraction(math.comb(2 * k, k), 4 ** k) <= c_hi * Fraction(2) ** e
+
+
+def test_series_tables_equal_their_definitions():
+    # Bernoulli numbers from sum_{j <= m} C(m + 1, j) B_j = 0
+    bernoulli = [Fraction(1)]
+    for m in range(1, 2 * len(mcnemar._STIRLING) + 1):
+        bernoulli.append(-sum(math.comb(m + 1, j) * bernoulli[j] for j in range(m)) / (m + 1))
+    assert [Fraction(*c) for c in mcnemar._STIRLING] == [
+        bernoulli[2 * j] / (2 * j * (2 * j - 1)) for j in range(1, len(mcnemar._STIRLING) + 1)]
+    # Machin's pi = 16 atan(1/5) - 4 atan(1/239), with 64 guard bits
+    one = 1 << (mcnemar._PI_BITS + 64)
+
+    def atan_inv(x):  # atan(1/x) * one, each term floored
+        total, power, j = 0, one // x, 1
+        while power:
+            total += power // j if j % 4 == 1 else -(power // j)
+            power //= x * x
+            j += 2
+        return total
+
+    pi = 16 * atan_inv(5) - 4 * atan_inv(239)
+    assert (pi - 4096) >> 64 == mcnemar._PI == (pi + 4096) >> 64
 
 
 def _integer_path(n01, n10):
@@ -140,6 +201,53 @@ def test_large_n_cases_equal_the_integer_path(counts):
     exact_p, mid_p = _integer_path(*counts)
     assert exact_test(*counts) == exact_p
     assert midp_test(*counts) == mid_p
+
+
+@pytest.mark.parametrize("counts, exact_p, mid_p", [
+    ((50000, 50000), 1.0, 0.9974768737858033),
+    ((50001, 49999), 0.9974768737858033, 0.9949537980331216),
+    ((50158, 49842), 0.31919307907828737, 0.3176616170461294),
+    ((48800, 51200), 3.282526442302342e-14, 3.204330900195722e-14),
+    ((56080, 43920), 5e-324, 5e-324),  # the last pair before the p-values underflow
+    ((43919, 56081), 0.0, 0.0),
+    ((500000, 500000), 1.0, 0.9992021156386682),
+    ((500001, 499999), 0.9992021156386682, 0.998404232873102),
+    ((500500, 499500), 0.3177946913633055, 0.3173107498336104),
+    ((497000, 503000), 1.9851497639230208e-09, 1.9729990948858477e-09),
+    ((519249, 480751), 5e-324, 5e-324),
+    ((480750, 519250), 0.0, 0.0),
+])
+def test_n_of_1e5_and_1e6_give_the_ratio_product_doubles(counts, exact_p, mid_p):
+    # pinned to the doubles of the m-ratio product, where the integer tail is too slow
+    assert exact_test(*counts) == exact_p
+    assert midp_test(*counts) == mid_p
+
+
+def test_midp_of_two_int64_maxima_is_the_nearest_double():
+    # Gautschi's inequality sqrt(k) < Gamma(k + 1) / Gamma(k + 1/2) < sqrt(k + 1)
+    # puts C(2k, k) / 4**k between 1 / sqrt(pi (k + 1)) and 1 / sqrt(pi k)
+    k = 2**63 - 1
+    with localcontext() as ctx:
+        ctx.prec = 60
+        pi_lo = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+        pi_hi = pi_lo + Decimal("1e-59")
+        slack = Decimal("1e-55")  # above the rounding of 60 digits
+        mid_lo = 1 - (1 / (pi_lo * k).sqrt() + slack)
+        mid_hi = 1 - (1 / (pi_hi * (k + 1)).sqrt() - slack)
+    mid_p = float(Fraction(mid_lo))
+    assert mid_p == float(Fraction(mid_hi))
+    assert midp_test(k, k) == mid_p
+    assert exact_test(k, k) == 1.0
+
+
+def test_counts_far_apart_underflow_without_a_tail(monkeypatch):
+    # Hoeffding's bound puts both p-values below 2**-1075, the half-way point to
+    # the least subnormal, so neither the fixed point nor the integer path runs
+    for path in ("_certified_pvalues", "_exact_counts"):
+        monkeypatch.setattr(mcnemar, path, lambda *_, path=path: pytest.fail(f"{path} ran"))
+    assert midp_test(3 * 10**9, 10**9) == 0.0
+    assert exact_test(3 * 10**9, 10**9) == 0.0
+    assert exact_test(10**9, 3 * 10**9) == 0.0
 
 
 @pytest.mark.parametrize("test", [asymptotic_test, cc_test, exact_test, midp_test])
