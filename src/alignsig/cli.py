@@ -51,7 +51,7 @@ def _discordant_matrix(args, matrix: Path | None = None):
     if args.reference is None or len(args.alignments) < 2:
         raise ValueError("provide either --matrix or --reference plus >=2 --alignment entries")
     # each system takes its counting step as soon as it is parsed, in a worker
-    # where there is a pool, so that no process holds two Alignments at once
+    # when workers parse the files, so that no process holds two Alignments at once
     step = contingency.system_step(*ingest.parse_alignment_files([("reference", args.reference)]))
     files = []
     for spec in args.alignments:

@@ -24,9 +24,9 @@ _INT64 = range(-(1 << 63), 1 << 63)
 #: A system's correspondence ids as two bitsets: inside and outside the reference.
 _Bits = Tuple[int, int]
 
-#: What the per-system step keeps of an Alignment: its system name, the bitset
-#: of its keys inside the reference, and its keys outside it, in its order.
-Counted = Tuple[str, int, List[tuple]]
+#: What the per-system step keeps of an Alignment: its name, the bitset of its
+#: keys in R, and its keys outside R in order, as strings ``f"{len(s)}:{s}{t}"``.
+Counted = Tuple[str, int, List[str]]
 
 
 def system_step(r: Alignment) -> Callable[[Alignment], Counted]:
@@ -34,7 +34,7 @@ def system_step(r: Alignment) -> Callable[[Alignment], Counted]:
 
     It maps an Alignment A to ``(name, bits, outside)``: the set bits of the
     int ``bits`` are the positions in r of the keys of ``A & R``, and
-    ``outside`` lists the keys of ``A - R``.  Nothing else of A is needed, so
+    ``outside`` lists the keys of ``A - R`` as strings that no two keys share.
     A may be dropped once it has taken the step.
     """
     ids: Dict[tuple, int] = {key: i for i, key in enumerate(r.pairs)}
@@ -46,7 +46,7 @@ def system_step(r: Alignment) -> Callable[[Alignment], Counted]:
         for key in a.pairs:  # one loop: faster than set algebra on the keys
             i = ids.get(key)
             if i is None:
-                outside.append(key)
+                outside.append(f"{len(key[0])}:{key[0]}{key[1]}")
             else:
                 bitmap[i >> 3] |= 1 << (i & 7)
         return a.system_name, int.from_bytes(bitmap, "little"), outside
@@ -62,7 +62,7 @@ def _bitsets(counted: Sequence[Counted]) -> Tuple[List[_Bits], int]:
     ``(bits, nout)``, where ``bits[i] = (Ai & R, Ai - R)``, each a Python int
     whose set bits are the ids, and ``nout = |(A1 | ... | An) - R|``.
     """
-    ids: Dict[tuple, int] = {}
+    ids: Dict[str, int] = {}
     bits = []
     for _, inside, outside in counted:
         row = [ids.setdefault(key, len(ids)) for key in outside]

@@ -5,9 +5,9 @@ and tests, and the subset of the Alignment XML interchange format that OAEI
 tools emit (``Cell`` elements with ``entity1``/``entity2`` resources).
 ``parse_alignment`` picks a file's format; both parsers pass their raw entity,
 relation and confidence strings to the same three checks.
-``parse_alignment_files`` reads and parses many files, in worker processes
-when they are large, and may reduce each Alignment with a step where it was
-parsed.
+``parse_alignment_files`` reads and parses many files, in forked worker
+processes when they are large, and may reduce each Alignment with a step
+where it was parsed.
 """
 
 from __future__ import annotations
@@ -163,13 +163,13 @@ def parse_alignment(data: bytes, system_name: str) -> Alignment:
 
 
 #: Total input size from which `parse_alignment_files` parses in worker
-#: processes.  Importing and starting the pool costs about 45 ms.  On a 2-CPU
-#: x86-64 host, `table` on six Alignment XML files (medians of 31 alternating
-#: runs) took 0.210 s in one process and 0.218 s with the pool at 1.5 MB in
-#: all (the pool faster in 10 of 31 pairs), 0.258 s against 0.245 s at 2.0 MB
-#: (21 of 31) and 0.345 s against 0.295 s at 3.0 MB (27 of 31); so the two
-#: break even between 1.5 and 2 MB.
-POOL_MIN_BYTES = 2 * 1024 * 1024
+#: processes, whose fork and pipes cost a few ms.  On a 2-CPU x86-64 host,
+#: `table` on six Alignment XML files (medians of 31 alternating runs) took
+#: 0.146 s in one process and 0.143 s with the workers at 0.5 MiB in all (the
+#: workers faster in 13 of 31 pairs), 0.164 s against 0.156 s at 0.75 MiB (20
+#: of 31) and 0.182 s against 0.166 s at 1 MiB (22 of 31); so the two break
+#: even between 0.5 and 0.75 MiB.
+POOL_MIN_BYTES = 1024 * 1024
 
 
 def _read_and_parse(file: Tuple[str, str | os.PathLike]) -> Alignment:
@@ -182,20 +182,6 @@ def _read_and_parse(file: Tuple[str, str | os.PathLike]) -> Alignment:
 
 def _keep(alignment: Alignment) -> Alignment:
     return alignment
-
-
-#: The step a pool's worker applies to each Alignment it parses; set by
-#: `_set_step` as the worker starts.
-_step = _keep
-
-
-def _set_step(step: Callable[[Alignment], Any]) -> None:
-    global _step
-    _step = step
-
-
-def _read_parse_and_step(file: Tuple[str, str | os.PathLike]):
-    return _step(_read_and_parse(file))
 
 
 def _size(file: Tuple[str, str | os.PathLike]) -> int:
@@ -214,38 +200,22 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _parse_in_pool(files, sizes: List[int], workers: int, step) -> list:
-    # imported here: the two modules take about 30 ms to import, which small
-    # inputs skip
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork: a worker starts with this process's modules and paused GC, where
-    # a spawned one would import them again, and with `step` as it is, where
-    # each task would pickle it again; the CLI runs no other thread
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_set_step, initargs=(step,))
-    try:
-        # the largest files first, so that the last ones to finish are small
-        futures = {i: pool.submit(_read_parse_and_step, files[i])
-                   for i in sorted(range(len(files)), key=sizes.__getitem__, reverse=True)}
-        return [futures[i].result() for i in range(len(files))]
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def parse_alignment_files(files: Sequence[Tuple[str, str | os.PathLike]],
                           step: Callable[[Alignment], Any] = _keep) -> list:
     """Parse each (system name, path) pair's file; return, in order, what
     `step` makes of each Alignment, by default the Alignment itself.
 
-    Files of `POOL_MIN_BYTES` or more in all are parsed in worker processes,
-    one per CPU, where the platform can fork; each worker applies `step` to
-    its Alignments and sends back only the step's result, which must pickle
-    (`step` itself need not).  The result, or the error of the first bad file
-    in order, is the same either way.  The cyclic garbage collector is paused
-    meanwhile, since the parsers' records and rows hold no cycles.
+    Files of `POOL_MIN_BYTES` or more in all are parsed in forked worker
+    processes (`alignsig.workers`), one per CPU, where the platform can fork;
+    each worker applies `step` to its Alignments and sends back only the
+    step's results, which must pickle (`step` itself need not).  The result,
+    or the error of the first bad file in order, is the same either way.  The
+    cyclic garbage collector is paused meanwhile, since the parsers' records
+    and rows hold no cycles.
     """
+    def parse(file):
+        return step(_read_and_parse(file))
+
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -253,8 +223,10 @@ def parse_alignment_files(files: Sequence[Tuple[str, str | os.PathLike]],
         if workers > 1 and hasattr(os, "fork"):
             sizes = list(map(_size, files))
             if sum(sizes) >= POOL_MIN_BYTES:
-                return _parse_in_pool(files, sizes, workers, step)
-        return [step(_read_and_parse(file)) for file in files]
+                from .workers import parse_in_workers
+
+                return parse_in_workers(parse, files, sizes, workers)
+        return list(map(parse, files))
     finally:
         if gc_was_enabled:
             gc.enable()

@@ -608,8 +608,8 @@ class TestEntryPoint:
 
 
 #: Modules that only some commands need; each costs start-up time when loaded.
-HEAVY_MODULES = ("numpy", "scipy", "xml.parsers.expat", "multiprocessing",
-                 "concurrent.futures")
+HEAVY_MODULES = ("numpy", "scipy", "xml.parsers.expat", "alignsig.workers",
+                 "multiprocessing", "concurrent.futures")
 
 #: The modules of the comparison stack, which only `compare` needs.
 COMPARISON_MODULES = ("alignsig.siggraph", "alignsig.fwer", "alignsig.mcnemar")
@@ -647,8 +647,8 @@ def run_fresh(*args, watched=HEAVY_MODULES):
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # numpy serves only `match`, expat only XML alignments, and the process
-    # pool only large inputs; loading them, or scipy, would slow every command
+    # numpy serves only `match`, expat only XML alignments, and the worker
+    # processes only large inputs; loading them, or scipy, would slow every command
     assert run_fresh("--help") == (0, "[]")
 
 
@@ -770,11 +770,14 @@ def test_closed_stdout_exits_without_a_traceback(report, code, stderr):
 
 
 #: Runs the CLI on its arguments after its first one, "pool" or "sequential",
-#: then prints to stderr whether the ingest ran in worker processes and how
-#: many of them are still alive.  "pool" takes the pool for any input size and
-#: two CPUs.  A fresh interpreter forks no test runner with threads running.
+#: then prints to stderr whether the ingest ran in worker processes (whether
+#: `alignsig.workers` was loaded), 1 if a child process, running or ended, is
+#: left unreaped and 0 if none is, and the modules of a multiprocessing or
+#: concurrent.futures pool that were loaded.  "pool" takes the workers for any
+#: input size and two CPUs.  A fresh interpreter forks no test runner with
+#: threads running.
 INGEST_CLI = """
-import multiprocessing, sys
+import os, sys
 from alignsig import ingest
 from alignsig.cli import main
 if sys.argv.pop(1) == "pool":
@@ -783,7 +786,13 @@ if sys.argv.pop(1) == "pool":
 try:
     main(sys.argv[1:])
 finally:
-    print("concurrent.futures" in sys.modules, len(multiprocessing.active_children()),
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        left = 1
+    except ChildProcessError:
+        left = 0
+    print("alignsig.workers" in sys.modules, left,
+          [m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent")],
           file=sys.stderr)
 """
 
@@ -830,8 +839,8 @@ def test_pool_writes_the_sequential_output(tmp_path, command):
     for mode in ("sequential", "pool"):
         extra = ["--report", f"{mode}.json", "--dot", f"{mode}.dot"] if command == "compare" else []
         code, stdout, stderr, last = ingest_cli(mode, tmp_path, *args, *extra)
-        # the pool ran, and no worker outlives it
-        assert (code, stderr, last) == (0, [], f"{mode == 'pool'} 0")
+        # the workers ran, no worker outlives them, and no pool module loaded
+        assert (code, stderr, last) == (0, [], f"{mode == 'pool'} 0 []")
         outputs[mode] = [stdout] + [(tmp_path / f"{mode}.{suffix}").read_bytes()
                                     for suffix in ("json", "dot") if extra]
     assert outputs["pool"] == outputs["sequential"]
@@ -853,5 +862,5 @@ def test_pool_raises_the_first_bad_files_error(tmp_path, third, fifth, ref, erro
     assert sequential[:3] == pooled[:3]
     code, stdout, stderr, last = pooled
     # the reference is parsed before the pool starts, so its error ends the run first
-    assert (code, stdout, last) == (2, b"", f"{ref == REF} 0")
+    assert (code, stdout, last) == (2, b"", f"{ref == REF} 0 []")
     assert len(stderr) == 1 and stderr[0].startswith(error)

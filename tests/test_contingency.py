@@ -20,6 +20,7 @@ from alignsig.cli import main
 from alignsig.errors import (
     BadSystemName, DuplicateSystemName, MalformedLine, NegativeCount, UniverseTooSmall,
 )
+from alignsig.ingest import parse_alignment_xml
 from alignsig.model import Perspective, canonicalize_alignment
 
 IFP, CFP = Perspective.IFP, Perspective.CFP
@@ -493,5 +494,69 @@ class TestFilePath:
         args = write_task(tmp_path, r, systems)
         code, stdout, stderr, last = ingest_cli("pool", tmp_path, *args,
                                                 "--perspective", perspective.value)
-        assert (code, stderr, last) == (0, [], "True 0")  # the pool ran
+        assert (code, stderr, last) == (0, [], "True 0 []")  # the workers ran
         assert read_matrix(stdout, perspective) == set_matrix(r, systems, perspective)
+
+
+#: Pairs of keys that a join of source and target with a tab, or with nothing,
+#: would merge: in each, a tab, a letter, a colon or a digit moves from the
+#: source to the target.
+BOUNDARY_KEYS = [(("a\tb", "c"), ("a", "b\tc")), (("ab", "c"), ("a", "bc")),
+                 (("1:", "x"), ("1", ":x"))]
+
+
+def xml_alignment(keys):
+    """Alignment XML of `keys`, each tab written as the character reference &#9;,
+    since a parser reads a literal tab in an attribute as a space."""
+    cell = '<Cell><entity1 rdf:resource="{}"/><entity2 rdf:resource="{}"/></Cell>'
+    cells = "".join(cell.format(*(e.replace("\t", "&#9;") for e in key)) for key in keys)
+    return ('<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" xmlns='
+            '"http://knowledgeweb.semanticweb.org/heterogeneity/alignment"><Alignment>'
+            f"{cells}</Alignment></rdf:RDF>")
+
+
+class TestKeysOutsideTheReference:
+    """Keys outside R that differ only in where source ends and target begins
+    stay apart, in the CLI's process and in the workers."""
+
+    @staticmethod
+    def task():
+        left, right = (list(keys) for keys in zip(*BOUNDARY_KEYS))
+        r = align("R", [("r", "t")])
+        systems = [align("S0", left + [("r", "t")]), align("S1", right),
+                   align("S2", [left[0], right[1], left[2]])]
+        return r, systems
+
+    def write(self, directory):
+        """Write R and the systems as Alignment XML; return the `table` arguments."""
+        r, systems = self.task()
+        args = ["table", "--reference", "R.rdf", "--perspective", "cfp"]
+        for a in [r, *systems]:
+            (directory / f"{a.system_name}.rdf").write_text(xml_alignment(a.pairs))
+        for a in systems:
+            args += ["--alignment", f"{a.system_name}={a.system_name}.rdf"]
+        return args
+
+    def test_the_xml_holds_the_keys(self, tmp_path):
+        self.write(tmp_path)
+        r, systems = self.task()
+        for a in [r, *systems]:
+            data = (tmp_path / f"{a.system_name}.rdf").read_bytes()
+            assert parse_alignment_xml(data, a.system_name).pairs == a.pairs
+
+    def test_in_process_matrix_equals_set_algebra(self, tmp_path):
+        r, systems = self.task()
+        expected = set_matrix(r, systems, CFP)
+        assert expected == ((0, 4, 2), (3, 0, 2), (1, 2, 0))
+        assert build_discordant_matrix(r, systems, CFP).m == expected
+        args = self.write(tmp_path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.chdir(tmp_path)
+            main([*args, "--output", "m.tsv"])
+        assert read_matrix((tmp_path / "m.tsv").read_bytes(), CFP) == expected
+
+    def test_pooled_matrix_equals_set_algebra(self, tmp_path):
+        r, systems = self.task()
+        code, stdout, stderr, last = ingest_cli("pool", tmp_path, *self.write(tmp_path))
+        assert (code, stderr, last) == (0, [], "True 0 []")  # the workers ran
+        assert read_matrix(stdout, CFP) == set_matrix(r, systems, CFP)

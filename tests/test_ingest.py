@@ -1,10 +1,14 @@
 import gc
 import random
+import re
+import subprocess
+import sys
 import tracemalloc
 from xml.sax.saxutils import quoteattr
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_cli import fresh_env
 
 from alignsig.errors import (
     AlignsigError,
@@ -713,3 +717,101 @@ class TestParseAlignmentFiles:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was_enabled else gc.disable)()
+
+
+#: Parses the files named after its first argument, in two forked workers,
+#: with a step that keeps each system's name and sorted keys; on system B's
+#: file the step does what the first argument says: "keep" nothing more,
+#: "exit" ends its worker with os._exit(3), "kill" with SIGKILL, and "hang"
+#: sleeps a minute while SIGALRM raises KeyboardInterrupt in this process
+#: after 0.5 s.  Then prints, one per line: the result or the exception;
+#: whether a child process, running or ended, is left unreaped; and the names
+#: of the files this process parsed itself, with whether alignsig.workers was
+#: loaded.
+WORKERS_SCRIPT = """
+import os, signal, sys, time
+from alignsig import ingest
+ingest.POOL_MIN_BYTES = 0
+ingest._cpus = lambda: 2
+mode, *paths = sys.argv[1:]
+parent, parsed_here, parse = os.getpid(), [], ingest.parse_alignment
+
+def tracked(data, name):
+    if os.getpid() == parent:
+        parsed_here.append(name)
+    return parse(data, name)
+
+def step(a):
+    if a.system_name == "B":
+        if mode == "exit":
+            os._exit(3)
+        if mode == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if mode == "hang":
+            time.sleep(60)
+    return a.system_name, sorted(a.pairs)
+
+def interrupt(*_):
+    raise KeyboardInterrupt
+
+ingest.parse_alignment = tracked
+if mode == "hang":
+    signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+try:
+    print(ingest.parse_alignment_files([(p[0].upper(), p) for p in paths], step))
+except BaseException as exc:
+    print(f"{type(exc).__name__}: {exc}")
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child is left")
+except ChildProcessError:
+    print("no child is left")
+print(parsed_here, "alignsig.workers" in sys.modules)
+"""
+
+FOUR_FILES = {"a.tsv": "a\tb\n", "b.tsv": "c\td\ne\tf\n", "c.tsv": "g\th\n",
+              "d.tsv": "i\tj\n" * 20}
+
+
+class TestWorkers:
+    """Each run of the workers ends within the deadline, and reaps every worker."""
+
+    DEADLINE_S = 30
+
+    def run(self, tmp_path, mode, files=FOUR_FILES):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        done = subprocess.run([sys.executable, "-c", WORKERS_SCRIPT, mode, *files],
+                              cwd=tmp_path, env=fresh_env(), capture_output=True, text=True,
+                              timeout=self.DEADLINE_S)
+        *outcome, left, parsed = done.stdout.splitlines()
+        assert (done.returncode, left, parsed) == (0, "no child is left", "[] True"), done.stderr
+        return "\n".join(outcome), done.stderr
+
+    def test_result_is_the_sequential_one(self, tmp_path):
+        outcome, stderr = self.run(tmp_path, "keep")
+        expected = [(a.system_name, sorted(a.pairs)) for a in parse_alignment_files(
+            [(name[0].upper(), tmp_path / name) for name in FOUR_FILES])]
+        assert (outcome, stderr) == (str(expected), "")
+
+    def test_first_bad_file_in_order_wins(self, tmp_path):
+        # d.tsv is the largest, so a worker claims it first, yet c.tsv's error wins
+        files = {**FOUR_FILES, "c.tsv": "bad\n", "d.tsv": "i\tj\n" * 20 + "bad\n"}
+        assert self.run(tmp_path, "keep", files) == (
+            "MalformedLine: line 1: expected >=2 tab-separated fields", "")
+
+    @pytest.mark.parametrize("mode, how", [("exit", "exited with code 3"),
+                                           ("kill", "was killed by signal 9")])
+    def test_a_worker_that_dies_names_the_unfinished_files(self, tmp_path, mode, how):
+        outcome, _ = self.run(tmp_path, mode)
+        found = re.fullmatch(rf"RuntimeError: worker process \d+ {how} before it finished (.+)",
+                             outcome)
+        assert found, outcome
+        unfinished = found.group(1).split(", ")
+        assert "b.tsv" in unfinished and set(unfinished) <= set(FOUR_FILES)
+        assert unfinished == sorted(unfinished)  # in file order
+
+    def test_interrupt_kills_and_reaps_the_workers(self, tmp_path):
+        # the worker on b.tsv sleeps past the deadline unless it is killed
+        assert self.run(tmp_path, "hang") == ("KeyboardInterrupt: ", "")
