@@ -13,7 +13,9 @@ from pathlib import Path
 
 from . import contingency, ingest
 from .errors import AlignsigError
-from .model import ComparisonConfig, Correction, MetricKind, Mode, Perspective, TestKind
+from .model import (
+    ComparisonConfig, Correction, MetricKind, Mode, Perspective, TestKind, check_system_names,
+)
 
 #: What a bad input file or option value raises; each ends as exit code 2.
 #: OSError covers a missing path, a directory and an unreadable file.
@@ -50,16 +52,15 @@ def _discordant_matrix(args, matrix: Path | None = None):
         return contingency.parse_matrix_tsv(matrix.read_bytes(), persp)
     if args.reference is None or len(args.alignments) < 2:
         raise ValueError("provide either --matrix or --reference plus >=2 --alignment entries")
-    # each system takes its counting step as soon as it is parsed, in a worker
-    # when workers parse the files, so that no process holds two Alignments at once
-    step = contingency.system_step(*ingest.parse_alignment_files([("reference", args.reference)]))
     files = []
     for spec in args.alignments:
         name, eq, path = spec.partition("=")
         if not eq:
-            ingest.parse_alignment_files(files, step)  # a bad file before the spec fails first
             raise ValueError(f"--alignment must be name=path, got {spec!r}")
         files.append((name, Path(path)))
+    # each system takes its counting step as soon as it is parsed, in a worker
+    # when workers parse the files, so that no process holds two Alignments at once
+    step = contingency.system_step(*ingest.parse_alignment_files([("reference", args.reference)]))
     return contingency.count_discordant(ingest.parse_alignment_files(files, step), persp)
 
 
@@ -111,16 +112,14 @@ def rank(args):
         # JSONDecodeError and UnicodeDecodeError are ValueErrors; json.loads
         # raises RecursionError on arrays or objects nested too deep
         report = json.loads(args.report.read_text("utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:
+        groups = report.get("ranking") if isinstance(report, dict) else None
+        if not (isinstance(groups, list) and all(
+                isinstance(group, list) and group
+                and all(isinstance(name, str) for name in group) for group in groups)):
+            raise ValueError("report holds no 'ranking' list of non-empty system-name lists")
+        check_system_names(name for group in groups for name in group)
+    except (*INPUT_ERRORS, RecursionError) as exc:
         _fail_validation(exc)
-    groups = report.get("ranking") if isinstance(report, dict) else None
-    if not (isinstance(groups, list) and all(
-            isinstance(group, list) and group and all(isinstance(name, str) for name in group)
-            for group in groups)):
-        _fail_validation("report holds no 'ranking' list of non-empty system-name lists")
-    names = [name for group in groups for name in group]
-    if len(set(names)) < len(names):
-        _fail_validation("report's 'ranking' names a system more than once")
     _write(None, _ranking(groups))
 
 

@@ -11,11 +11,9 @@ from __future__ import annotations
 import operator
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import (
-    BadSystemName, DuplicateSystemName, MalformedLine, NegativeCount, UniverseTooSmall,
-)
+from .errors import MalformedLine, NegativeCount, UniverseTooSmall
 from .ingest import integer, text_lines
-from .model import Alignment, ContingencyTable, Perspective, Record
+from .model import Alignment, ContingencyTable, Perspective, Record, check_system_names
 
 #: The cell range a matrix holds, so that every one survives its TSV: that of
 #: a signed 64-bit integer.
@@ -112,16 +110,6 @@ def build_table(
                             perspective=perspective)
 
 
-def _check_names(names: Sequence[str]) -> None:
-    seen = set()
-    for name in names:
-        if not name.strip() or not name.isprintable():
-            raise BadSystemName(f"system name {name!r} is blank or has an unprintable character")
-        if name in seen:
-            raise DuplicateSystemName(name)
-        seen.add(name)
-
-
 class DiscordantMatrix(Record):
     """All-pairs in-favor counts: m[i][j] = correspondences counted for system i
     against system j under the given perspective.
@@ -143,7 +131,7 @@ class DiscordantMatrix(Record):
         vars(self)["m"] = m
         if any(m[i][i] != 0 for i in range(n)):
             raise ValueError("diagonal entries must be zero")
-        _check_names(self.systems)
+        check_system_names(self.systems)
         for i, row in enumerate(m):
             for j, value in enumerate(row):
                 if value < 0:
@@ -164,11 +152,10 @@ def count_discordant(counted: Sequence[Counted], perspective: Perspective) -> Di
     """The all-pairs matrix of the systems that took `system_step` in order."""
     if len(counted) < 2:
         raise ValueError("need at least 2 systems")
-    names = [name for name, _, _ in counted]
-    _check_names(names)  # before the all-pairs counting, not after it
     bits, _ = _bitsets(counted)
     m = [[_in_favor(a, b, perspective) for b in bits] for a in bits]
-    return DiscordantMatrix(systems=tuple(names), m=m, perspective=perspective)
+    return DiscordantMatrix(systems=tuple(name for name, _, _ in counted), m=m,
+                            perspective=perspective)
 
 
 def write_matrix_tsv(matrix: DiscordantMatrix) -> bytes:

@@ -20,10 +20,6 @@ class AlignsigError(Exception):
         return self.template.format_map(vars(self))
 
 
-class EmptySystemName(AlignsigError):
-    pass
-
-
 class NonEquivalenceRelation(AlignsigError):
     fields = ("location", "relation")
     template = "{location}: unsupported relation {relation!r}; only '=' is supported"

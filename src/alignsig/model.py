@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from .errors import EmptySystemName, ModeMismatch
+from .errors import BadSystemName, DuplicateSystemName, ModeMismatch
 
 #: Most systems Bergmann's correction accepts unless the caller raises the cap:
 #: its time grows about threefold per added system (0.016 s at n = 10, 0.3 s
@@ -116,24 +116,38 @@ class Alignment(Record):
         return len(self.pairs)
 
 
+def check_system_names(names: Iterable[str]) -> None:
+    """The one rule for system names: each is non-blank and printable
+    (`str.isprintable()`), which is what a matrix TSV row can carry, and
+    none is given twice.  Raises BadSystemName or DuplicateSystemName."""
+    seen = set()
+    for name in names:
+        if not name.strip() or not name.isprintable():
+            raise BadSystemName(f"system name {name!r} is blank or has an unprintable character")
+        if name in seen:
+            raise DuplicateSystemName(name)
+        seen.add(name)
+
+
 def canonicalize_alignment(
     rows: List[Tuple[str, str, float]], system_name: str
 ) -> Alignment:
     """Collapse ``(source, target, confidence)`` equivalence rows into an Alignment.
 
-    A key given more than once keeps its highest confidence.  Ids, relations
-    and confidences are checked by the callers: the parsers check those of
-    their input.
+    A key given more than once keeps its highest confidence.  The system name
+    is stripped and must pass `check_system_names`.  Ids, relations and
+    confidences are checked by the callers: the parsers check those of their
+    input.
     """
-    if not system_name or not system_name.strip():
-        raise EmptySystemName("system name must be non-empty")
+    system_name = system_name.strip()
+    check_system_names((system_name,))
     pairs: Dict[Tuple[str, str], float] = {}
     for source, target, confidence in rows:
         key = (source, target)
         prev = pairs.get(key)
         if prev is None or confidence > prev:
             pairs[key] = confidence
-    return Alignment(system_name.strip(), pairs)
+    return Alignment(system_name, pairs)
 
 
 class ContingencyTable(Record):

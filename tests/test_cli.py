@@ -172,7 +172,12 @@ class TestCompare:
          "line 3: cell outside the 64-bit integer range"),
         ("\tB\tC\n\t0\t1\t2\nB\t3\t0\t4\nC\t5\t6\t0\n",
          "error: system name '' is blank"),
-    ], ids=["duplicate-name", "negative-cell", "int64-overflow", "empty-name"])
+        ("", "error: line 1: empty matrix file"),
+        ("A\tB\nA\t0\t1\n", "error: line 2: expected 2 data rows, got 1"),
+        ("A\tB\nA\t0\t1\t2\nB\t1\t0\n", "error: line 2: expected 3 fields, got 4"),
+        ("A\tB\nB\t0\t1\nA\t1\t0\n", "error: line 2: row names do not match header order"),
+    ], ids=["duplicate-name", "negative-cell", "int64-overflow", "empty-name", "empty-file",
+            "missing-row", "extra-field", "rows-out-of-order"])
     def test_malformed_matrix_exits_2(self, runner, tmp_path, text, message):
         path = write(tmp_path, "m.tsv", text)
         result = runner.invoke(main, ["compare", "--matrix", path, "--correction", "bergmann"])
@@ -227,26 +232,39 @@ class TestCompare:
 
 
 class TestBadPaths:
-    @pytest.mark.parametrize("command", [
-        ["compare", "--reference", "{ref}", "--alignment", "S1={a}",
-         "--alignment", "S2={missing}"],
-        ["compare", "--reference", "{ref}", "--alignment", "S1={a}", "--alignment", "S2={dir}"],
-        ["compare", "--reference", "{dir}", "--alignment", "S1={a}", "--alignment", "S2={a}"],
-        ["compare", "--matrix", "{dir}"],
-        ["table", "--reference", "{ref}", "--alignment", "S1={a}", "--alignment", "S2={dir}"],
-        ["match", "--source", "{dir}", "--target", "{labels}", "--metric", "equal"],
-        ["match", "--source", "{labels}", "--target", "{dir}", "--metric", "equal"],
+    @pytest.mark.parametrize("command, message", [
+        (["compare", "--reference", "{ref}", "--alignment", "S1={a}",
+          "--alignment", "S2={missing}"], "[Errno "),
+        (["compare", "--reference", "{ref}", "--alignment", "S1={a}", "--alignment", "S2={dir}"],
+         "[Errno "),
+        (["compare", "--reference", "{dir}", "--alignment", "S1={a}", "--alignment", "S2={a}"],
+         "[Errno "),
+        (["compare", "--matrix", "{dir}"], "[Errno "),
+        (["table", "--reference", "{ref}", "--alignment", "S1={a}", "--alignment", "S2={dir}"],
+         "[Errno "),
+        (["match", "--source", "{dir}", "--target", "{labels}", "--metric", "equal"], "[Errno "),
+        (["match", "--source", "{labels}", "--target", "{dir}", "--metric", "equal"], "[Errno "),
+        (["compare"], "provide either --matrix or --reference plus >=2 --alignment entries\n"),
+        (["compare", "--reference", "{ref}", "--alignment", "A={a}"],
+         "provide either --matrix or --reference plus >=2 --alignment entries\n"),
+        (["compare", "--matrix", "{matrix}", "--mode", "nx1", "--baseline", "ZZ"],
+         "baseline 'ZZ' not among systems\n"),
+        (["table", "--reference", "{ref}", "--alignment", "A={five}", "--alignment", "B={a}"],
+         "line 3: expected <=4 tab-separated fields\n"),
     ], ids=["missing-alignment", "directory-alignment", "directory-reference",
             "directory-matrix", "table-directory-alignment", "directory-source",
-            "directory-target"])
-    def test_bad_input_path_exits_2(self, runner, tmp_path, command):
+            "directory-target", "compare-no-input", "compare-one-alignment", "unknown-baseline",
+            "tsv-five-fields"])
+    def test_bad_input_path_exits_2(self, runner, tmp_path, command, message):
         paths = {"ref": write(tmp_path, "ref.tsv", REF), "a": write(tmp_path, "a.tsv", SYS_A),
                  "labels": write(tmp_path, "labels.tsv", LABELS),
+                 "five": write(tmp_path, "five.tsv", SYS_B + "x\ty\t=\t1\textra\n"),
+                 "matrix": str(fixture_path("anatomy-ifp")),
                  "missing": str(tmp_path / "missing.tsv"), "dir": str(tmp_path)}
         result = runner.invoke(main, [arg.format(**paths) for arg in command])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
-        assert result.output.startswith("error: ")
+        assert result.output.startswith(f"error: {message}")
 
 
     @pytest.mark.parametrize("command", [
@@ -409,10 +427,12 @@ class TestTable:
         monkeypatch.chdir(tmp_path)
         for name, text in [("r.tsv", REF), ("a.tsv", SYS_A), ("b.tsv", SYS_B)]:
             write(tmp_path, name, text)
-        result = runner.invoke(main, ["table", "--reference", "r.tsv",
-                                      "--alignment", "a.tsv", "--alignment", "S2=b.tsv"])
-        assert (result.exit_code, result.output) == (
-            2, "error: --alignment must be name=path, got 'a.tsv'\n")
+        # every spec is checked before the reference is read, even a missing one
+        for reference in ("r.tsv", "missing.tsv"):
+            result = runner.invoke(main, ["table", "--reference", reference,
+                                          "--alignment", "a.tsv", "--alignment", "S2=b.tsv"])
+            assert (result.exit_code, result.output) == (
+                2, "error: --alignment must be name=path, got 'a.tsv'\n")
 
 
 class TestMatch:
@@ -499,11 +519,16 @@ class TestRank:
             assert isinstance(result.exception, SystemExit), content
 
     @pytest.mark.parametrize("ranking, message", [
-        ('[["a"], ["a"]]', "report's 'ranking' names a system more than once"),
-        ('[["a", "b", "a"]]', "report's 'ranking' names a system more than once"),
+        ('[["a"], ["a"]]', "duplicate system name 'a'"),
+        ('[["a", "b", "a"]]', "duplicate system name 'a'"),
         ('[[]]', "report holds no 'ranking' list of non-empty system-name lists"),
         ('[["a"], []]', "report holds no 'ranking' list of non-empty system-name lists"),
-    ], ids=["repeated-across-groups", "repeated-in-a-group", "empty", "empty-after-one"])
+        # names that no matrix TSV row can carry, by the rule of system names
+        ('[["A\\nB"], ["C"]]', "system name 'A\\nB' is blank or has an unprintable character"),
+        ('[[""]]', "system name '' is blank or has an unprintable character"),
+        ('[["C\\tD", "E"]]', "system name 'C\\tD' is blank or has an unprintable character"),
+    ], ids=["repeated-across-groups", "repeated-in-a-group", "empty", "empty-after-one",
+            "line-break", "blank", "tab"])
     def test_malformed_ranking_exits_2(self, runner, tmp_path, ranking, message):
         bad = tmp_path / "bad.json"
         bad.write_text(f'{{"ranking": {ranking}}}', "utf-8")

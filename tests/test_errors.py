@@ -6,7 +6,6 @@ from alignsig import errors
 
 #: Constructor arguments of every AlignsigError subclass in errors.py.
 ARGUMENTS = {
-    errors.EmptySystemName: ("system name is blank",),
     errors.NonEquivalenceRelation: ("line 3", "<"),
     errors.MalformedLine: (3, "x"),
     errors.XmlSyntax: ((1, 30), "no element found"),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from alignsig.contingency import DiscordantMatrix
-from alignsig.errors import EmptySystemName, ModeMismatch
+from alignsig.errors import BadSystemName, ModeMismatch
 from alignsig.fwer import HypothesisSet
 from alignsig.matcher import SimilarityMatrix
 from alignsig.model import (
@@ -37,7 +37,7 @@ class TestCanonicalize:
         assert len(a) == 0
 
     def test_empty_system_name_rejected(self):
-        with pytest.raises(EmptySystemName):
+        with pytest.raises(BadSystemName):
             canonicalize_alignment([], "  ")
 
 
