@@ -50,6 +50,12 @@ class MissingEntity(AlignsigError):
     template = "{location}: missing or blank entity"
 
 
+class UnwritableEntity(AlignsigError):
+    """An entity that alignment TSV would not read back as it is."""
+    fields = ("entity", "reason")
+    template = "entity {entity!r} cannot be written as alignment TSV: {reason}"
+
+
 class DuplicateId(AlignsigError):
     fields = ("line_no", "id")
     template = "line {line_no}: duplicate id {id!r}"

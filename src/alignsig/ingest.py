@@ -20,7 +20,7 @@ from typing import Any, Callable, List, Sequence, Tuple
 
 from .errors import (
     BadConfidence, DuplicateId, MalformedLine, MissingEntity, NonEquivalenceRelation,
-    Undecodable,
+    Undecodable, UnwritableEntity,
 )
 from .model import Alignment, canonicalize_alignment
 
@@ -132,7 +132,9 @@ def _xml_document(data: bytes) -> bytes | str:
 def parse_alignment_xml(data: bytes, system_name: str) -> Alignment:
     """Parse the Alignment-format subset: Cell/entity1/entity2/measure/relation.
 
-    The Cells' raw records are checked only once the whole document has
+    `xmlcells.read_cells` reads the Cells' raw records, by a pattern learnt from
+    the first Cell where the document has the shape OAEI tools write, else by
+    expat's callbacks. They are checked only once the whole document has
     parsed, so that a syntax error anywhere beats a bad Cell.
     """
     from .xmlcells import read_cells  # only alignment files are XML
@@ -164,12 +166,14 @@ def parse_alignment(data: bytes, system_name: str) -> Alignment:
 
 #: Total input size from which `parse_alignment_files` parses in worker
 #: processes, whose fork and pipes cost a few ms.  On a 2-CPU x86-64 host,
-#: `table` on six Alignment XML files (medians of 31 alternating runs) took
-#: 0.146 s in one process and 0.143 s with the workers at 0.5 MiB in all (the
-#: workers faster in 13 of 31 pairs), 0.164 s against 0.156 s at 0.75 MiB (20
-#: of 31) and 0.182 s against 0.166 s at 1 MiB (22 of 31); so the two break
-#: even between 0.5 and 0.75 MiB.
-POOL_MIN_BYTES = 1024 * 1024
+#: `table` on six Alignment XML files in one process and with the workers
+#: (fresh interpreters, sizes interleaved, 31 runs each) broke even between
+#: 0.5 and 0.75 MiB in all while expat's callbacks read every file.  XML in
+#: the shape the benchmark writes now costs about half as much per byte, and
+#: in three sets of runs the workers were faster in 11 and 15 of 31 at 1 MiB,
+#: 13 and 7 at 1.25 MiB, 24, 20 and 17 at 1.5 MiB, 18 at 1.75 MiB and 23 at
+#: 2 MiB; so the two break even at about 1.5 MiB.
+POOL_MIN_BYTES = 1536 * 1024
 
 
 def _read_and_parse(file: Tuple[str, str | os.PathLike]) -> Alignment:
@@ -232,8 +236,18 @@ def parse_alignment_files(files: Sequence[Tuple[str, str | os.PathLike]],
             gc.enable()
 
 
+#: The most characters a label may hold, once stripped.  Every metric but
+#: levenshtein takes time in proportion to the product of two labels'
+#: lengths, or more.  On a 2-vCPU x86-64 host, one pair of random 500-character
+#: labels took 0.32 s under smoa, the slowest metric, and 0.15 s under
+#: needlemanwunsch; at 1000 characters smoa took 1.5-2.1 s and at 2000 about
+#: 11 s.  OAEI labels are seldom longer than 250 characters.
+MAX_LABEL_LENGTH = 500
+
+
 def parse_label_list(data: bytes) -> Tuple[Tuple[str, str], ...]:
-    """Parse ``id<TAB>label`` lines into ordered (id, label) rows with unique ids."""
+    """Parse ``id<TAB>label`` lines into ordered (id, label) rows with unique
+    ids; a label longer than `MAX_LABEL_LENGTH` raises MalformedLine."""
     rows: List[Tuple[str, str]] = []
     seen = set()
     for line_no, line in _data_lines(data):
@@ -243,6 +257,9 @@ def parse_label_list(data: bytes) -> Tuple[Tuple[str, str], ...]:
         id_, label = fields[0].strip(), fields[1].strip()
         if not id_ or not label:
             raise MalformedLine(line_no, "empty id or label")
+        if len(label) > MAX_LABEL_LENGTH:
+            raise MalformedLine(line_no, f"label of {len(label)} characters, more than "
+                                         f"{MAX_LABEL_LENGTH}")
         if id_ in seen:
             raise DuplicateId(line_no, id_)
         seen.add(id_)
@@ -256,10 +273,27 @@ def _format_confidence(value: float) -> str:
     return repr(value)
 
 
+def _writable(source: str, target: str) -> str:
+    """The TSV fields of a pair; UnwritableEntity if they would not read back
+    as one line of that pair."""
+    for entity in (source, target):
+        if "\t" in entity or "\n" in entity:
+            raise UnwritableEntity(entity, "it holds a tab or a line feed")
+    if source.lstrip().startswith("#"):
+        raise UnwritableEntity(source, "a line that begins with '#' is a comment")
+    return f"{source}\t{target}"
+
+
 def write_alignment_tsv(alignment: Alignment) -> bytes:
-    """Serialize an alignment, sorted by (source, target); parse_alignment_tsv
-    reads it back to an equal Alignment."""
+    """Serialize an alignment, sorted by (source, target), as TSV that
+    parse_alignment_tsv reads back to an equal Alignment.
+
+    The parsers strip every entity, but an entity may still hold a tab or a
+    line feed, as ``&#9;`` in Alignment XML gives, and a source may begin with
+    ``#``, as ``rdf:resource="#a"`` gives; no TSV line carries either, so both
+    raise UnwritableEntity.
+    """
     return "".join(
-        f"{source}\t{target}\t{EQUIVALENCE}\t{_format_confidence(confidence)}\n"
+        f"{_writable(source, target)}\t{EQUIVALENCE}\t{_format_confidence(confidence)}\n"
         for (source, target), confidence in sorted(alignment.pairs.items())
     ).encode("utf-8")

@@ -466,6 +466,17 @@ class TestMatch:
                      "ngram", "needlemanwunsch", "smoa", "substring"):
             assert name in result.output
 
+    def test_match_rejects_a_label_longer_than_the_cap(self, runner, tmp_path):
+        from alignsig.ingest import MAX_LABEL_LENGTH
+
+        src = write(tmp_path, "src.tsv", LABELS)
+        tgt = write(tmp_path, "tgt.tsv", f"h1\teye\nh2\t{'{' * (MAX_LABEL_LENGTH + 1)}\n")
+        result = runner.invoke(main, ["match", "--source", src, "--target", tgt,
+                                      "--metric", "smoa"])
+        assert result.exit_code == 2
+        assert result.output == (f"error: line 2: label of {MAX_LABEL_LENGTH + 1} characters, "
+                                 f"more than {MAX_LABEL_LENGTH}\n")
+
     def test_match_output_feeds_compare(self, runner, tmp_path):
         src = write(tmp_path, "src.tsv", LABELS)
         tgt = write(tmp_path, "tgt.tsv", LABELS)

@@ -13,6 +13,7 @@ ARGUMENTS = {
     errors.Undecodable: (7, "invalid start byte", "UTF-16"),
     errors.MissingEntity: ("Cell 0",),
     errors.DuplicateId: (4, "m1"),
+    errors.UnwritableEntity: ("#a", "a line that begins with '#' is a comment"),
     errors.UniverseTooSmall: (10, 12),
     errors.DuplicateSystemName: ("A",),
     errors.BadSystemName: ("blank system name",),
