@@ -168,12 +168,12 @@ def parse_alignment(data: bytes, system_name: str) -> Alignment:
 #: processes, whose fork and pipes cost a few ms.  On a 2-CPU x86-64 host,
 #: `table` on six Alignment XML files in one process and with the workers
 #: (fresh interpreters, sizes interleaved, 31 runs each) broke even between
-#: 0.5 and 0.75 MiB in all while expat's callbacks read every file.  XML in
-#: the shape the benchmark writes now costs about half as much per byte, and
-#: in three sets of runs the workers were faster in 11 and 15 of 31 at 1 MiB,
-#: 13 and 7 at 1.25 MiB, 24, 20 and 17 at 1.5 MiB, 18 at 1.75 MiB and 23 at
-#: 2 MiB; so the two break even at about 1.5 MiB.
-POOL_MIN_BYTES = 1536 * 1024
+#: 0.5 and 0.75 MiB in all for XML that expat's callbacks read.  XML that the
+#: pattern reader takes costs about half as much per byte, and for it the
+#: workers were faster in 11 and 15 of 31 runs at 1 MiB, 24, 20 and 17 at
+#: 1.5 MiB and 23 at 2 MiB.  1 MiB lies between the two break-evens, so that
+#: neither kind of XML runs far from its own.
+POOL_MIN_BYTES = 1024 * 1024
 
 
 def _read_and_parse(file: Tuple[str, str | os.PathLike]) -> Alignment:
@@ -241,7 +241,8 @@ def parse_alignment_files(files: Sequence[Tuple[str, str | os.PathLike]],
 #: lengths, or more.  On a 2-vCPU x86-64 host, one pair of random 500-character
 #: labels took 0.32 s under smoa, the slowest metric, and 0.15 s under
 #: needlemanwunsch; at 1000 characters smoa took 1.5-2.1 s and at 2000 about
-#: 11 s.  OAEI labels are seldom longer than 250 characters.
+#: 11 s.  The cap holds for every metric, levenshtein included, so that a
+#: label list is valid or not whichever metric reads it.
 MAX_LABEL_LENGTH = 500
 
 

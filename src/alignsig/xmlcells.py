@@ -30,7 +30,7 @@ _DECLARATION = re.compile(
     + rb"\?>")
 # a comment, CDATA section, DOCTYPE or processing instruction
 _MARKUP = re.compile(rb"<[!?]")
-_CELL_START = re.compile(rb"<" + _PREFIX + rb"Cell" + _ATTRIBUTES + rb">")
+_CELL_START = re.compile(rb"(<" + _PREFIX + rb"Cell)" + _ATTRIBUTES + rb">")
 _CELL_END = re.compile(_S + rb"(</" + _PREFIX + rb"Cell" + _S + rb">)")
 # the children of a Cell that are read, each as the literal bytes before and
 # after its value: an entity's only attribute is its resource, and a measure
@@ -52,8 +52,9 @@ _CHUNK = 1 << 18
 
 def _template(data: bytes):
     """The pattern of a Cell written as the document's first, with one group
-    per child, and the record slot of each group; None when the first Cell has
-    no child, a child twice, or one of another name or shape.
+    per child, the record slot of each group, and the bytes that open the
+    Cell's start tag; None when the first Cell has no child, a child twice, or
+    one of another name or shape.
 
     The pattern holds the first Cell's tags literally, and white space between
     them. A group holds no "<", "&", tab, LF or CR, nor an attribute's quote, so
@@ -75,7 +76,7 @@ def _template(data: bytes):
     end = _CELL_END.match(data, at)
     if not slots or end is None:
         return None
-    return re.compile(b"".join(pieces) + _S + re.escape(end[1])), slots
+    return re.compile(b"".join(pieces) + _S + re.escape(end[1])), slots, first[1]
 
 
 def _read_in_shape(document: bytes | str):
@@ -93,14 +94,16 @@ def _read_in_shape(document: bytes | str):
         return None
     declaration = _DECLARATION.match(document)
     start = 0 if declaration is None else declaration.end()
-    # "!" and "?" are rare in the common shape, and found faster than "<!" or "<?"
-    if ((document.find(b"!", start) >= 0 or document.find(b"?", start) >= 0)
-            and _MARKUP.search(document, start)):
+    if _MARKUP.search(document, start):
         return None
     template = _template(document)
     if template is None:
         return None
-    pattern, slots = template
+    pattern, slots, opening = template
+    # the last Cell is tried alone first, so that a document whose last Cell
+    # misses pays no scan
+    if pattern.match(document, document.rfind(opening)) is None:
+        return None
     found = pattern.findall(document)
     values = b"\t".join(found if len(slots) == 1 else map(b"\t".join, found))
     if document.count(b"Cell") != 2 * len(found) + values.count(b"Cell"):

@@ -743,7 +743,8 @@ def test_documents_in_shape_take_the_template_reader(cells, declared):
 
 
 @pytest.mark.parametrize("kind", ["xmlns", "&amp;", "&#9;", "é", "<!-- c -->",
-                                  "<!DOCTYPE rdf:RDF>", "<?pi x?>", "odd", "syntax"])
+                                  "<!DOCTYPE rdf:RDF>", "<?pi x?>", "odd", "inner odd",
+                                  "syntax"])
 @settings(max_examples=40)
 @given(cells=shaped_cells(min_cells=2), data=st.data())
 def test_near_misses_take_the_callback_reader(kind, cells, data):
@@ -757,6 +758,8 @@ def test_near_misses_take_the_callback_reader(kind, cells, data):
         cells[k][child] = _in_value(cells[k][child], kind)
     elif kind == "odd":  # the last Cell holds a child of another name
         cells[-1].insert(-1, "<label>l</label>")
+    elif kind == "inner odd":  # the Cell before the last does, which only the count finds
+        cells[-2].insert(-1, "<label>l</label>")
     elif kind == "syntax":
         tail = _SHAPED_TAIL + "<"
     else:
