@@ -168,11 +168,12 @@ def parse_alignment(data: bytes, system_name: str) -> Alignment:
 #: processes, whose fork and pipes cost a few ms.  On a 2-CPU x86-64 host,
 #: `table` on six Alignment XML files in one process and with the workers
 #: (fresh interpreters, sizes interleaved, 31 runs each) broke even between
-#: 0.5 and 0.75 MiB in all for XML that expat's callbacks read.  XML that the
-#: pattern reader takes costs about half as much per byte, and for it the
-#: workers were faster in 11 and 15 of 31 runs at 1 MiB, 24, 20 and 17 at
-#: 1.5 MiB and 23 at 2 MiB.  1 MiB lies between the two break-evens, so that
-#: neither kind of XML runs far from its own.
+#: 0.5 and 0.75 MiB in all for XML that expat's callbacks read (the workers
+#: were faster in 8 and 25 of 31 runs), and between 2 and 3 MiB (9 and 21 of
+#: 31) for XML that the pattern reader takes, at about a third of the cost per
+#: byte.  At 1 MiB the workers saved 8 ms on the first kind and cost 7 ms on
+#: the second: 1 MiB lies between the two break-evens, so that neither kind of
+#: XML runs far from its own.
 POOL_MIN_BYTES = 1024 * 1024
 
 

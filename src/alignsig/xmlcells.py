@@ -5,6 +5,18 @@ pattern learnt from the first Cell, and every other document by
 `_read_with_callbacks`, with expat's callbacks. Both give the records that
 ElementTree would; `read_cells` picks the reader.
 
+The pattern reader proves a document well-formed without parsing all of it.
+The document must be P C (G C)* S: a prefix P, the first Cell C, repeats of
+the gap G between the first two Cells and a Cell, and a suffix S. Every Cell
+repeats the first one's bytes but for its values and the white space between
+its children, and every gap the first gap's bytes but for the white space
+between a ">" and a "<". A value holds no byte that XML 1.0 forbids there or
+that a parser would replace (https://www.w3.org/TR/xml/, §2.2 Characters,
+§2.4 Character Data and Markup, §3.3.3 Attribute-Value Normalization), so each
+Cell is a well-formed element wherever the first is. Expat then parses only
+P C S and P C G C S: the same S closes the open elements after P C and after
+P C G C, so G leaves them as it found them, and every repeat is well-formed.
+
 `ingest.parse_alignment_xml` imports this module when it first reads an XML
 file, so that commands which read no XML import neither it nor expat.
 """
@@ -12,6 +24,7 @@ file, so that commands which read no XML import neither it nor expat.
 from __future__ import annotations
 
 import re
+import sys
 from itertools import repeat
 from typing import List
 from xml.parsers import expat
@@ -32,33 +45,38 @@ _DECLARATION = re.compile(
 _MARKUP = re.compile(rb"<[!?]")
 _CELL_START = re.compile(rb"(<" + _PREFIX + rb"Cell)" + _ATTRIBUTES + rb">")
 _CELL_END = re.compile(_S + rb"(</" + _PREFIX + rb"Cell" + _S + rb">)")
+# the bytes a value read must not hold: "<" and "&", which open markup, and
+# every C0 control: XML forbids most, and a parser replaces tab, LF and CR
+_NOT_VALUE = rb"<&\x00-\x1f"
 # the children of a Cell that are read, each as the literal bytes before and
 # after its value: an entity's only attribute is its resource, and a measure
 # or relation holds text and no element
 _ENTITY = re.compile(
     _S + rb"(?P<head><" + _PREFIX + rb"(?P<name>entity[12])[ \t\r\n]+(?!xmlns:)" + _PREFIX
-    + rb"resource" + _S + b"=" + _S + rb"""(?P<quote>["']))(?:(?!(?P=quote))[^<&\t\n\r])*"""
-    + rb"(?P<tail>(?P=quote)" + _S + rb"/>)")
+    + rb"resource" + _S + b"=" + _S + rb"""(?P<quote>["']))(?:(?!(?P=quote))[^""" + _NOT_VALUE
+    + rb"])*(?P<tail>(?P=quote)" + _S + rb"/>)")
 _TEXT = re.compile(
     _S + rb"(?P<head><(?P<tag>" + _PREFIX + rb"(?P<name>measure|relation))" + _ATTRIBUTES
-    + rb">)[^<&\t\n\r]*(?P<tail></(?P=tag)" + _S + rb">)")
+    + rb">)[^" + _NOT_VALUE + rb"]*(?P<tail></(?P=tag)" + _S + rb">)")
 _SLOTS = {b"entity1": 0, b"entity2": 1, b"measure": 2, b"relation": 3}
-# expat copies what each call gets into its buffer, which pyexpat feeds 1 MiB at
-# a time: with the values found still held, a whole 1.3 MB document raised a
-# worker's peak RSS by 0.7 MB, and 256 KiB pieces by 0.1 MB, for about 10%
-# more time in expat
-_CHUNK = 1 << 18
+# the white space of a gap that may vary: between a tag's ">" and the next
+# "<", where it is character data
+_BETWEEN_TAGS = re.compile(rb"(?<=>)[ \t\r\n]*(?=<)")
+# a possessive repeat keeps no state to backtrack to; Python 3.10 has none,
+# and there the greedy repeat ends where the possessive one would
+_POSSESSIVE = b"+" if sys.version_info >= (3, 11) else b""
 
 
 def _template(data: bytes):
     """The pattern of a Cell written as the document's first, with one group
-    per child, the record slot of each group, and the bytes that open the
-    Cell's start tag; None when the first Cell has no child, a child twice, or
-    one of another name or shape.
+    per child; the same pattern with no group; the record slot of each group;
+    the first Cell's start and end; and the bytes that open its start tag.
+    None when the first Cell has no child, a child twice, or one of another
+    name or shape.
 
     The pattern holds the first Cell's tags literally, and white space between
-    them. A group holds no "<", "&", tab, LF or CR, nor an attribute's quote, so
-    that its bytes are the value ElementTree reads.
+    them. A group holds no "<", "&" or C0 control, nor an attribute's quote,
+    so that its bytes are the value ElementTree reads.
     """
     first = _CELL_START.search(data)
     if first is None:
@@ -69,53 +87,70 @@ def _template(data: bytes):
         if slot in slots:
             return None
         quote = child["head"][-1:] if slot < 2 else b""
-        pieces.append(_S + re.escape(child["head"]) + b"([^<&\t\n\r" + quote + b"]*)"
-                      + re.escape(child["tail"]))
+        pieces += [_S + re.escape(child["head"]), b"[^" + _NOT_VALUE + quote + b"]*",
+                   re.escape(child["tail"])]
         slots.append(slot)
         at = child.end()
     end = _CELL_END.match(data, at)
     if not slots or end is None:
         return None
-    return re.compile(b"".join(pieces) + _S + re.escape(end[1])), slots, first[1]
+    pieces.append(_S + re.escape(end[1]))
+    bare = b"".join(pieces)
+    # every third piece, from the third on, is a value
+    pieces[2::3] = [b"(" + value + b")" for value in pieces[2::3]]
+    return re.compile(b"".join(pieces)), bare, slots, first.start(), end.end(), first[1]
 
 
 def _read_in_shape(document: bytes | str):
     """`read_cells` of a document in the shape OAEI tools write, else None.
 
-    The document must be ASCII bytes with no comment, CDATA section, DOCTYPE or
-    processing instruction but an XML declaration, so that every "<" in it
-    opens a tag. Every Cell must match the pattern learnt from the first, so
-    that each "Cell" in the document is a matched Cell's start or end tag or
-    lies in a value read; and the whole document must parse, which is tried
-    last, since a document that misses pays only the scan. Nothing is decoded
-    but the values.
+    The document must be ASCII bytes, P C (G C)* S as the module says, checked
+    by one match of the Cells and gaps from the first Cell's end to the last
+    Cell's end; and expat must parse P C S and P C G C S. P, G and S hold no
+    "Cell", so that every Cell is one the pattern reads, and no comment, CDATA
+    section, DOCTYPE or processing instruction but an XML declaration, so that
+    every "<" in G opens a tag and no Cell lies in markup that P opens and S
+    closes. No value holds "]]>", which text must not. The last Cell is tried
+    first and the long match last, since a document that misses pays only the
+    checks before the miss. Nothing is decoded but the values.
     """
     if not isinstance(document, bytes) or not document.isascii():
-        return None
-    declaration = _DECLARATION.match(document)
-    start = 0 if declaration is None else declaration.end()
-    if _MARKUP.search(document, start):
         return None
     template = _template(document)
     if template is None:
         return None
-    pattern, slots, opening = template
-    # the last Cell is tried alone first, so that a document whose last Cell
-    # misses pays no scan
-    if pattern.match(document, document.rfind(opening)) is None:
+    pattern, cell, slots, start, end, opening = template
+    last = pattern.match(document, document.rfind(opening))
+    if last is None:
         return None
-    found = pattern.findall(document)
-    values = b"\t".join(found if len(slots) == 1 else map(b"\t".join, found))
-    if document.count(b"Cell") != 2 * len(found) + values.count(b"Cell"):
+    prefix, first, suffix = document[:start], document[start:end], document[last.end():]
+    gap = b""
+    if last.start() > start:  # the gap between the first two Cells
+        gap = document[end:document.find(opening, end)]
+    declaration = _DECLARATION.match(prefix)
+    outside = prefix[0 if declaration is None else declaration.end():], gap, suffix
+    if any(b"Cell" in text or _MARKUP.search(text) for text in outside):
         return None
-    del found
-    parser = expat.ParserCreate(namespace_separator="}")
-    view = memoryview(document)
-    try:  # no handler: only whether the document is well-formed
-        for at in range(0, len(document), _CHUNK):
-            parser.Parse(view[at:at + _CHUNK], False)
-        parser.Parse(b"", True)
+    texts = [prefix + first + suffix]
+    if last.start() > start:
+        texts.append(prefix + first + gap + first + suffix)
+    try:  # no handler: only whether each text is well-formed
+        for text in texts:
+            expat.ParserCreate(namespace_separator="}").Parse(text, True)
     except expat.ExpatError:
+        return None
+    if last.start() > start:
+        # the gap with the ">" before it and the "<" after it, which any white
+        # space at its ends lies between
+        pieces = _BETWEEN_TAGS.split(document[end - 1:end + len(gap) + 1])
+        pieces[0], pieces[-1] = pieces[0][1:], pieces[-1][:-1]
+        cells = re.compile(b"(?:" + _S.join(map(re.escape, pieces)) + cell + b")*" + _POSSESSIVE)
+        if cells.match(document, end).end() != last.end():
+            return None
+    found = pattern.findall(document, start, last.end())
+    values = b"\t".join(found if len(slots) == 1 else map(b"\t".join, found))
+    del found
+    if b"]]>" in values:
         return None
     columns = values.decode("ascii").split("\t")
     record = [repeat(""), repeat(""), repeat(None), repeat(None)]

@@ -742,9 +742,10 @@ def test_documents_in_shape_take_the_template_reader(cells, declared):
     assert_matches_oracle(document)
 
 
-@pytest.mark.parametrize("kind", ["xmlns", "&amp;", "&#9;", "é", "<!-- c -->",
+@pytest.mark.parametrize("kind", ["xmlns", "&amp;", "&#9;", "é", "\x01", "]]>", "<!-- c -->",
                                   "<!DOCTYPE rdf:RDF>", "<?pi x?>", "odd", "inner odd",
-                                  "syntax"])
+                                  "other prefix", "unclosed gap", "closing gap", "syntax",
+                                  "tenth gap"])
 @settings(max_examples=40)
 @given(cells=shaped_cells(min_cells=2), data=st.data())
 def test_near_misses_take_the_callback_reader(kind, cells, data):
@@ -754,19 +755,64 @@ def test_near_misses_take_the_callback_reader(kind, cells, data):
     if kind == "xmlns":  # a namespace declaration, not an attribute
         assume("resource=" in cells[k][child])
         cells[k][child] = re.sub(r"\S*resource=", "xmlns:resource=", cells[k][child])
-    elif kind in ("&amp;", "&#9;", "é"):
+    elif kind in ("&amp;", "&#9;", "é", "\x01"):
+        cells[k][child] = _in_value(cells[k][child], kind)
+    elif kind == "]]>":  # which text must not hold
+        assume("measure" in cells[k][child])
         cells[k][child] = _in_value(cells[k][child], kind)
     elif kind == "odd":  # the last Cell holds a child of another name
         cells[-1].insert(-1, "<label>l</label>")
-    elif kind == "inner odd":  # the Cell before the last does, which only the count finds
+    elif kind == "inner odd":  # the Cell before the last does, where the match stops
         cells[-2].insert(-1, "<label>l</label>")
+    elif kind == "other prefix":  # a Cell after the last, in the same namespace
+        other = "<Cell/>" if cells[0][0].startswith("<a:") else "<a:Cell/>"
+        tail = f"\n<map>{other}</map>" + _SHAPED_TAIL
+    elif kind == "unclosed gap":  # every gap opens an <x> that no tag closes
+        for cell in cells[1:]:
+            cell[0] = "<x>" + cell[0]
+    elif kind == "closing gap":  # every gap closes an <x>, which only the prefix opens
+        assume(len(cells) >= 3)
+        cells[0][0] = "<x>" + cells[0][0]
+        for cell in cells[:-1]:
+            cell[-1] += "</x>"
     elif kind == "syntax":
         tail = _SHAPED_TAIL + "<"
+    elif kind == "tenth gap":  # past the two Cells that expat reads
+        cells = [list(cells[i % len(cells)]) for i in range(12)]
+        cells[9][-1] += "<"
     else:
         head += kind
     document = shaped_document(cells, head, tail)
     assert xmlcells._read_in_shape(document) is None
     assert_matches_oracle(document)
+
+
+# one edit: None deletes a byte, and any bytes are inserted; the listed ones
+# open, close or break markup, or a value
+_EDITS = st.one_of(st.none(), st.integers(0, 127).map(lambda byte: bytes([byte])),
+                   st.sampled_from([b"<", b">", b"</map>", b"<x>", b"]]>", b"\x01"]))
+
+
+@settings(max_examples=300)
+@given(cells=shaped_cells(min_cells=2), data=st.data())
+def test_the_readers_agree_on_a_shaped_document_edited_once(cells, data):
+    document = shaped_document(cells)
+    gaps = [m.start() for m in re.finditer(rb"</map>", document)]
+    at = data.draw(st.one_of(st.sampled_from(gaps).flatmap(lambda g: st.integers(g - 8, g + 12)),
+                             st.integers(0, len(document) - 1)))
+    edit = data.draw(_EDITS)
+    if edit is None:
+        document = document[:at] + document[at + 1:]
+    else:
+        document = document[:at] + edit + document[at:]
+    try:
+        expected = list(map(tuple, xmlcells._read_with_callbacks(document)))
+    except XmlSyntax as exc:
+        with pytest.raises(XmlSyntax) as raised:
+            xmlcells.read_cells(document)
+        assert str(raised.value) == str(exc)
+    else:
+        assert list(map(tuple, xmlcells.read_cells(document))) == expected
 
 
 def test_the_benchmark_and_ci_shapes_take_the_template_reader(monkeypatch):
