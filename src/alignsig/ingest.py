@@ -169,11 +169,11 @@ def parse_alignment(data: bytes, system_name: str) -> Alignment:
 #: `table` on six Alignment XML files in one process and with the workers
 #: (fresh interpreters, sizes interleaved, 31 runs each) broke even between
 #: 0.5 and 0.75 MiB in all for XML that expat's callbacks read (the workers
-#: were faster in 8 and 25 of 31 runs), and between 2 and 3 MiB (9 and 21 of
-#: 31) for XML that the pattern reader takes, at about a third of the cost per
-#: byte.  At 1 MiB the workers saved 8 ms on the first kind and cost 7 ms on
-#: the second: 1 MiB lies between the two break-evens, so that neither kind of
-#: XML runs far from its own.
+#: were faster in 8 and 25 of 31 runs), and between 2 and 3 MiB for XML that
+#: the pattern reader takes, which costs less per byte (in two sets, 7 and 19,
+#: then 10 and 23 of 31).  At 1 MiB the workers saved 8 ms on the first kind
+#: and cost 8-13 ms on the second: 1 MiB lies between the two break-evens, so
+#: that neither kind of XML runs far from its own.
 POOL_MIN_BYTES = 1024 * 1024
 
 

@@ -6,16 +6,20 @@ pattern learnt from the first Cell, and every other document by
 ElementTree would; `read_cells` picks the reader.
 
 The pattern reader proves a document well-formed without parsing all of it.
-The document must be P C (G C)* S: a prefix P, the first Cell C, repeats of
-the gap G between the first two Cells and a Cell, and a suffix S. Every Cell
-repeats the first one's bytes but for its values and the white space between
-its children, and every gap the first gap's bytes but for the white space
-between a ">" and a "<". A value holds no byte that XML 1.0 forbids there or
-that a parser would replace (https://www.w3.org/TR/xml/, §2.2 Characters,
-§2.4 Character Data and Markup, §3.3.3 Attribute-Value Normalization), so each
-Cell is a well-formed element wherever the first is. Expat then parses only
-P C S and P C G C S: the same S closes the open elements after P C and after
-P C G C, so G leaves them as it found them, and every repeat is well-formed.
+The document must be P C (G? C)* G? S: a prefix P, the first Cell C, more
+Cells, each right after the one before or after a copy of the gap G between
+the first two Cells (empty when there is one Cell), and a suffix S, which a
+copy of G may precede. Every Cell repeats the first one's bytes but for its
+values and the white space between its children, and every gap the first
+gap's bytes but for the white space between a ">" and a "<". A value holds no
+byte that XML 1.0 forbids there or that a parser would replace
+(https://www.w3.org/TR/xml/, §2.2 Characters, §2.4 Character Data and Markup,
+§3.3.3 Attribute-Value Normalization), and the document holds no "]]>", so
+each Cell is a well-formed element wherever the first is. Expat then parses
+only P C S and P C G C S: the same S closes the open elements after P C and
+after P C G C, so G leaves them as it found them, and C is not the root. So
+each gap, and each Cell with or without a gap before it, is well-formed where
+the pattern finds it.
 
 `ingest.parse_alignment_xml` imports this module when it first reads an XML
 file, so that commands which read no XML import neither it nor expat.
@@ -24,8 +28,7 @@ file, so that commands which read no XML import neither it nor expat.
 from __future__ import annotations
 
 import re
-import sys
-from itertools import repeat
+from itertools import islice, repeat
 from typing import List
 from xml.parsers import expat
 
@@ -62,18 +65,13 @@ _SLOTS = {b"entity1": 0, b"entity2": 1, b"measure": 2, b"relation": 3}
 # the white space of a gap that may vary: between a tag's ">" and the next
 # "<", where it is character data
 _BETWEEN_TAGS = re.compile(rb"(?<=>)[ \t\r\n]*(?=<)")
-# a possessive repeat keeps no state to backtrack to, where a greedy one keeps
-# some for every Cell: about 2.5 MB more peak RSS on a 1.3 MB document. Python
-# 3.10 has none, and there the greedy repeat ends where the possessive one would
-_POSSESSIVE = b"+" if sys.version_info >= (3, 11) else b""
 
 
 def _template(data: bytes):
     """The pattern of a Cell written as the document's first, with one group
-    per child; the same pattern with no group; the record slot of each group;
-    the first Cell's start and end; and the bytes that open its start tag.
-    None when the first Cell has no child, a child twice, or one of another
-    name or shape.
+    per child; the record slot of each group; the first Cell's start and end;
+    and the bytes that open its start tag. None when the first Cell has no
+    child, a child twice, or one of another name or shape.
 
     The pattern holds the first Cell's tags literally, and white space between
     them. A group holds no "<", "&" or C0 control, nor an attribute's quote,
@@ -88,7 +86,7 @@ def _template(data: bytes):
         if slot in slots:
             return None
         quote = child["head"][-1:] if slot < 2 else b""
-        pieces += [_S + re.escape(child["head"]), b"[^" + _NOT_VALUE + quote + b"]*",
+        pieces += [_S + re.escape(child["head"]), b"([^" + _NOT_VALUE + quote + b"]*)",
                    re.escape(child["tail"])]
         slots.append(slot)
         at = child.end()
@@ -96,67 +94,61 @@ def _template(data: bytes):
     if not slots or end is None:
         return None
     pieces.append(_S + re.escape(end[1]))
-    bare = b"".join(pieces)
-    # every third piece, from the third on, is a value
-    pieces[2::3] = [b"(" + value + b")" for value in pieces[2::3]]
-    return re.compile(b"".join(pieces)), bare, slots, first.start(), end.end(), first[1]
+    return b"".join(pieces), slots, first.start(), end.end(), first[1]
 
 
 def _read_in_shape(document: bytes | str):
     """`read_cells` of a document in the shape OAEI tools write, else None.
 
-    The document must be ASCII bytes, P C (G C)* S as the module says, checked
-    by one match of the Cells and gaps from the first Cell's end to the last
-    Cell's end; and expat must parse P C S and P C G C S. P, G and S hold no
-    "Cell", so that every Cell is one the pattern reads, and no comment, CDATA
-    section, DOCTYPE or processing instruction but an XML declaration, so that
-    every "<" in G opens a tag and no Cell lies in markup that P opens and S
-    closes. No value holds "]]>", which text must not. The last Cell is tried
-    first and the long match last, since a document that misses pays only the
-    checks before the miss. Nothing is decoded but the values.
+    The document must be ASCII bytes with no "]]>", which text must not hold,
+    and P C (G? C)* G? S as the module says. The pattern of a Cell and an
+    optional gap is tried on the last Cell first; then P, G and S are checked,
+    expat must parse P C S and P C G C S, and one split on the pattern reads
+    the Cells, where every text between two matches must be empty. P, G
+    and S hold no "Cell", so that every Cell is one the pattern reads, the
+    first text is P, the last S, and the groups between them the values; and
+    no comment, CDATA section, DOCTYPE or processing instruction but an XML
+    declaration, so that every "<" in G opens a tag and no Cell lies in markup
+    that P opens and S closes. A document that misses pays only the checks
+    before the miss. Nothing is decoded but the values.
     """
-    if not isinstance(document, bytes) or not document.isascii():
+    if not isinstance(document, bytes) or not document.isascii() or b"]]>" in document:
         return None
     template = _template(document)
     if template is None:
         return None
-    pattern, cell, slots, start, end, opening = template
+    cell, slots, start, end, opening = template
+    second = document.find(opening, end)
+    gap = b"" if second == -1 else document[end:second]  # between the first two Cells
+    # the gap with the ">" before it and the "<" after it, which any white
+    # space at its ends lies between
+    pieces = _BETWEEN_TAGS.split(b">" + gap + b"<")
+    pieces[0], pieces[-1] = pieces[0][1:], pieces[-1][:-1]
+    pattern = re.compile(cell + b"(?:" + _S.join(map(re.escape, pieces)) + b")?")
     last = pattern.match(document, document.rfind(opening))
     if last is None:
         return None
     prefix, first, suffix = document[:start], document[start:end], document[last.end():]
-    gap = b""
-    if last.start() > start:  # the gap between the first two Cells
-        gap = document[end:document.find(opening, end)]
     declaration = _DECLARATION.match(prefix)
     outside = prefix[0 if declaration is None else declaration.end():], gap, suffix
     if any(b"Cell" in text or _MARKUP.search(text) for text in outside):
         return None
     texts = [prefix + first + suffix]
-    if last.start() > start:
+    if second != -1:
         texts.append(prefix + first + gap + first + suffix)
     try:  # no handler: only whether each text is well-formed
         for text in texts:
             expat.ParserCreate(namespace_separator="}").Parse(text, True)
     except expat.ExpatError:
         return None
-    if last.start() > start:
-        # the gap with the ">" before it and the "<" after it, which any white
-        # space at its ends lies between
-        pieces = _BETWEEN_TAGS.split(document[end - 1:end + len(gap) + 1])
-        pieces[0], pieces[-1] = pieces[0][1:], pieces[-1][:-1]
-        cells = re.compile(b"(?:" + _S.join(map(re.escape, pieces)) + cell + b")*" + _POSSESSIVE)
-        if cells.match(document, end).end() != last.end():
-            return None
-    found = pattern.findall(document, start, last.end())
-    values = b"\t".join(found if len(slots) == 1 else map(b"\t".join, found))
-    del found
-    if b"]]>" in values:
+    # P, then each match's values and the text after it, the last being S
+    parts = pattern.split(document)
+    width = len(slots) + 1
+    if any(parts[width:-1:width]):
         return None
-    columns = values.decode("ascii").split("\t")
     record = [repeat(""), repeat(""), repeat(None), repeat(None)]
     for i, slot in enumerate(slots):
-        record[slot] = columns[i::len(slots)]
+        record[slot] = map(bytes.decode, islice(parts, i + 1, None, width))
     return list(zip(*record))
 
 
