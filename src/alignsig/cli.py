@@ -1,6 +1,7 @@
 """Command-line interface: compare, table, match, rank.
 
-Exit codes: 0 success, 1 internal error, 2 usage/validation error.
+Exit codes: 0 success; 2 a usage error, an AlignsigError or an OSError (a bad
+input, option or path); 1 a closed stdout, or any other exception: a bug.
 """
 
 from __future__ import annotations
@@ -12,17 +13,13 @@ import sys
 from pathlib import Path
 
 from . import contingency, ingest
-from .errors import AlignsigError
+from .errors import AlignsigError, InvalidInput, Undecodable
 from .model import (
     ComparisonConfig, Correction, MetricKind, Mode, Perspective, TestKind, check_system_names,
 )
 
-#: What a bad input file or option value raises; each ends as exit code 2.
-#: OSError covers a missing path, a directory and an unreadable file.
-INPUT_ERRORS = (AlignsigError, OSError, ValueError)
 
-
-def _fail_validation(exc: Exception | str):
+def _fail_validation(exc: Exception):
     print(f"error: {exc}", file=sys.stderr)
     sys.exit(2)
 
@@ -48,15 +45,15 @@ def _discordant_matrix(args, matrix: Path | None = None):
     persp = Perspective(args.perspective)
     if matrix is not None:
         if args.reference is not None or args.alignments:
-            raise ValueError("give either --matrix or --reference/--alignment, not both")
+            raise InvalidInput("give either --matrix or --reference/--alignment, not both")
         return contingency.parse_matrix_tsv(matrix.read_bytes(), persp)
     if args.reference is None or len(args.alignments) < 2:
-        raise ValueError("provide either --matrix or --reference plus >=2 --alignment entries")
+        raise InvalidInput("provide either --matrix or --reference plus >=2 --alignment entries")
     files = []
     for spec in args.alignments:
         name, eq, path = spec.partition("=")
         if not eq:
-            raise ValueError(f"--alignment must be name=path, got {spec!r}")
+            raise InvalidInput(f"--alignment must be name=path, got {spec!r}")
         files.append((name, Path(path)))
     # each system takes its counting step as soon as it is parsed, in a worker
     # when workers parse the files, so that no process holds two Alignments at once
@@ -67,14 +64,11 @@ def _discordant_matrix(args, matrix: Path | None = None):
 def compare(args):
     """Pairwise McNemar comparison with FWER correction; emits DOT + report."""
     from . import siggraph  # with fwer and mcnemar, only `compare` needs it
-    try:
-        cfg = ComparisonConfig(
-            test=TestKind(args.test), mode=Mode(args.mode), baseline=args.baseline,
-            correction=None if args.correction is None else Correction(args.correction),
-            alpha=args.alpha, bergmann_cap=args.bergmann_cap)
-        graph = siggraph.build_graph(_discordant_matrix(args, args.matrix), cfg)
-    except INPUT_ERRORS as exc:
-        _fail_validation(exc)
+    cfg = ComparisonConfig(
+        test=TestKind(args.test), mode=Mode(args.mode), baseline=args.baseline,
+        correction=None if args.correction is None else Correction(args.correction),
+        alpha=args.alpha, bergmann_cap=args.bergmann_cap)
+    graph = siggraph.build_graph(_discordant_matrix(args, args.matrix), cfg)
     if args.dot:
         _write(args.dot, siggraph.emit_dot(graph))
     if args.report:
@@ -84,11 +78,7 @@ def compare(args):
 
 def table(args):
     """Emit the all-pairs discordant matrix as TSV."""
-    try:
-        m = _discordant_matrix(args)
-    except INPUT_ERRORS as exc:
-        _fail_validation(exc)
-    _write(args.output, contingency.write_matrix_tsv(m))
+    _write(args.output, contingency.write_matrix_tsv(_discordant_matrix(args)))
 
 
 def match(args):
@@ -97,29 +87,26 @@ def match(args):
     from . import matcher  # numpy loads only for matching
 
     kind = MetricKind(args.metric)
-    try:
-        src = ingest.parse_label_list(args.source.read_bytes())
-        tgt = ingest.parse_label_list(args.target.read_bytes())
-        alignment = matcher.match(src, tgt, kind, args.threshold, kind.value)
-    except INPUT_ERRORS as exc:
-        _fail_validation(exc)
+    src = ingest.parse_label_list(args.source.read_bytes())
+    tgt = ingest.parse_label_list(args.target.read_bytes())
+    alignment = matcher.match(src, tgt, kind, args.threshold, kind.value)
     _write(args.output, ingest.write_alignment_tsv(alignment))
 
 
 def rank(args):
     """Print rank groups from a comparison report, one '&'-joined row per group."""
     try:
-        # JSONDecodeError and UnicodeDecodeError are ValueErrors; json.loads
-        # raises RecursionError on arrays or objects nested too deep
         report = json.loads(args.report.read_text("utf-8"))
-        groups = report.get("ranking") if isinstance(report, dict) else None
-        if not (isinstance(groups, list) and all(
-                isinstance(group, list) and group
-                and all(isinstance(name, str) for name in group) for group in groups)):
-            raise ValueError("report holds no 'ranking' list of non-empty system-name lists")
-        check_system_names(name for group in groups for name in group)
-    except (*INPUT_ERRORS, RecursionError) as exc:
-        _fail_validation(exc)
+    except UnicodeDecodeError as exc:
+        raise Undecodable(exc.start, exc.reason, "UTF-8") from None
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise InvalidInput(str(exc)) from None
+    groups = report.get("ranking") if isinstance(report, dict) else None
+    if not (isinstance(groups, list) and all(
+            isinstance(group, list) and group
+            and all(isinstance(name, str) for name in group) for group in groups)):
+        raise InvalidInput("report holds no 'ranking' list of non-empty system-name lists")
+    check_system_names(name for group in groups for name in group)
     _write(None, _ranking(groups))
 
 
@@ -175,7 +162,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> None:
-    """Run the subcommand `argv` names (default: sys.argv[1:]); failures raise SystemExit."""
+    """Run the subcommand `argv` names (default: sys.argv[1:]); a bug's exception propagates."""
     args = _parser().parse_args(argv)
     try:
         args.run(args)
@@ -183,6 +170,8 @@ def main(argv: list[str] | None = None) -> None:
     except BrokenPipeError:  # the reader closed stdout: exit 1 without a traceback
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
+    except (AlignsigError, OSError) as exc:  # a bad input file, option value or path
+        _fail_validation(exc)
 
 
 #: Only for perfbench/traced_cli.py, which calls click's `main.main(args=..., ...)`.

@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import MalformedLine, NegativeCount, UniverseTooSmall
+from .errors import InvalidInput, MalformedLine, NegativeCount, UniverseTooSmall
 from .ingest import integer, text_lines
 from .model import Alignment, ContingencyTable, Perspective, Record, check_system_names
 
@@ -116,7 +116,8 @@ class DiscordantMatrix(Record):
 
     ``m`` may be given as any n x n nested sequence or integer array; it is
     stored as a tuple of tuples of Python ints.  A non-integer cell raises
-    TypeError, and a cell beyond the signed 64-bit range ValueError.
+    TypeError; a wrong shape, a non-zero diagonal and a cell beyond the signed
+    64-bit range raise InvalidInput.
     """
 
     systems: Tuple[str, ...]
@@ -126,19 +127,19 @@ class DiscordantMatrix(Record):
     def __post_init__(self):
         n = len(self.systems)
         if n == 0 or len(self.m) != n or any(len(row) != n for row in self.m):
-            raise ValueError("matrix shape must be n x n for n >= 1 systems")
+            raise InvalidInput("matrix shape must be n x n for n >= 1 systems")
         m = tuple(tuple(map(operator.index, row)) for row in self.m)
         vars(self)["m"] = m
         if any(m[i][i] != 0 for i in range(n)):
-            raise ValueError("diagonal entries must be zero")
+            raise InvalidInput("diagonal entries must be zero")
         check_system_names(self.systems)
         for i, row in enumerate(m):
             for j, value in enumerate(row):
                 if value < 0:
                     raise NegativeCount(self.systems[i], self.systems[j], value)
                 if value not in _INT64:
-                    raise ValueError(f"cell {self.systems[i]!r}, {self.systems[j]!r} "
-                                     "is outside the 64-bit integer range")
+                    raise InvalidInput(f"cell {self.systems[i]!r}, {self.systems[j]!r} "
+                                       "is outside the 64-bit integer range")
 
 
 def build_discordant_matrix(
@@ -151,7 +152,7 @@ def build_discordant_matrix(
 def count_discordant(counted: Sequence[Counted], perspective: Perspective) -> DiscordantMatrix:
     """The all-pairs matrix of the systems that took `system_step` in order."""
     if len(counted) < 2:
-        raise ValueError("need at least 2 systems")
+        raise InvalidInput("need at least 2 systems")
     bits, _ = _bitsets(counted)
     m = [[_in_favor(a, b, perspective) for b in bits] for a in bits]
     return DiscordantMatrix(systems=tuple(name for name, _, _ in counted), m=m,

@@ -71,6 +71,10 @@ class DuplicateSystemName(AlignsigError):
     template = "duplicate system name {name!r}"
 
 
+class InvalidInput(AlignsigError, ValueError):
+    """An option or input value out of range or at odds with another; also a ValueError."""
+
+
 class BadSystemName(AlignsigError):
     """A blank or unprintable system name, which a matrix TSV cannot carry."""
 

@@ -14,7 +14,7 @@ import math
 from functools import lru_cache
 from typing import Callable, FrozenSet, List, Tuple
 
-from .errors import ModeMismatch, TooManySystems
+from .errors import InvalidInput, ModeMismatch, TooManySystems
 from .model import DEFAULT_BERGMANN_CAP, Correction, Mode, Record
 
 APV = Tuple[float, ...]
@@ -138,7 +138,7 @@ def adjust_shaffer(h: HypothesisSet) -> APV:
 
 def _check_systems(n_systems: int, cap: int) -> None:
     if n_systems < 2:
-        raise ValueError("need at least 2 systems")
+        raise InvalidInput("need at least 2 systems")
     if n_systems > cap:
         raise TooManySystems(n_systems, cap)
 

@@ -19,8 +19,8 @@ from itertools import repeat
 from typing import Any, Callable, List, Sequence, Tuple
 
 from .errors import (
-    BadConfidence, DuplicateId, MalformedLine, MissingEntity, NonEquivalenceRelation,
-    Undecodable, UnwritableEntity,
+    BadConfidence, DuplicateId, InvalidInput, MalformedLine, MissingEntity,
+    NonEquivalenceRelation, Undecodable, UnwritableEntity,
 )
 from .model import Alignment, canonicalize_alignment
 
@@ -180,7 +180,11 @@ POOL_MIN_BYTES = 1024 * 1024
 def _read_and_parse(file: Tuple[str, str | os.PathLike]) -> Alignment:
     """Parse the alignment file of one (system name, path) pair."""
     name, path = file
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except ValueError as exc:  # a NUL, which no path can hold
+        raise InvalidInput(str(exc)) from None
+    with fh:
         data = fh.read()
     return parse_alignment(data, name)
 

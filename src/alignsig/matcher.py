@@ -18,7 +18,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import EmptyTable
+from .errors import EmptyTable, InvalidInput
 from .model import Alignment, MetricKind, Record, canonicalize_alignment  # MetricKind re-exported
 
 
@@ -355,7 +355,7 @@ def hungarian_assign(sim: SimilarityMatrix) -> List[Tuple[int, int]]:
 
 def _check_threshold(threshold: float) -> None:
     if not 0.0 <= threshold <= 1.0:  # NaN fails the comparison too
-        raise ValueError("threshold must lie in [0, 1]")
+        raise InvalidInput("threshold must lie in [0, 1]")
 
 
 def extract_alignment(

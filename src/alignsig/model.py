@@ -5,7 +5,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .errors import BadSystemName, DuplicateSystemName, ModeMismatch
+from .errors import BadSystemName, DuplicateSystemName, InvalidInput, ModeMismatch
 
 #: Most systems Bergmann's correction accepts unless the caller raises the cap:
 #: its time grows about threefold per added system (0.016 s at n = 10, 0.3 s
@@ -186,12 +186,12 @@ class ComparisonConfig(Record):
             default = Correction.BERGMANN if self.mode is Mode.NXN else Correction.HOLM
             vars(self)["correction"] = default
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha {self.alpha} outside (0, 1)")
+            raise InvalidInput(f"alpha {self.alpha} outside (0, 1)")
         if self.bergmann_cap < 2:
-            raise ValueError(f"bergmann_cap {self.bergmann_cap} is below 2 systems")
+            raise InvalidInput(f"bergmann_cap {self.bergmann_cap} is below 2 systems")
         if self.mode is Mode.NX1 and self.correction in NXN_ONLY_CORRECTIONS:
             raise ModeMismatch(self.correction.value, self.mode.value)
         if self.mode is Mode.NX1 and not self.baseline:
-            raise ValueError("NX1 mode requires a baseline system name")
+            raise InvalidInput("NX1 mode requires a baseline system name")
         if self.mode is Mode.NXN and self.baseline is not None:
-            raise ValueError(f"baseline {self.baseline!r} applies only in NX1 mode")
+            raise InvalidInput(f"baseline {self.baseline!r} applies only in NX1 mode")

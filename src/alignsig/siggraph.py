@@ -7,6 +7,7 @@ import json
 from typing import List, Optional, Tuple
 
 from .contingency import DiscordantMatrix
+from .errors import InvalidInput
 from .fwer import HypothesisSet, adjust
 from .mcnemar import run_test
 from .model import ComparisonConfig, Mode, Perspective, Record, TestKind
@@ -74,7 +75,7 @@ def _pairs_for_mode(systems: Tuple[str, ...], cfg: ComparisonConfig):
     baseline against each other system in name order (N x 1)."""
     if cfg.mode is Mode.NX1:
         if cfg.baseline not in systems:
-            raise ValueError(f"baseline {cfg.baseline!r} not among systems")
+            raise InvalidInput(f"baseline {cfg.baseline!r} not among systems")
         others = [s for s in systems if s != cfg.baseline]
         return [tuple(sorted((cfg.baseline, o))) for o in sorted(others)]
     return list(itertools.combinations(sorted(systems), 2))

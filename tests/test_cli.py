@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -528,6 +529,7 @@ class TestRank:
             result = runner.invoke(main, ["rank", "--report", str(bad)])
             assert result.exit_code == 2, content
             assert isinstance(result.exception, SystemExit), content
+        assert result.output == "error: byte 0: not valid UTF-8 (invalid start byte)\n"
 
     @pytest.mark.parametrize("ranking, message", [
         ('[["a"], ["a"]]', "duplicate system name 'a'"),
@@ -591,6 +593,65 @@ def test_bergmann_cap_below_two_exits_2(runner, cap):
                                   "--bergmann-cap", cap])
     assert (result.exit_code, result.output) == (
         2, f"error: bergmann_cap {cap} is below 2 systems\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["compare", "--matrix", "{matrix}", "--reference", "{ref}"],
+     "give either --matrix or --reference/--alignment, not both"),
+    (["compare", "--matrix", "{diagonal}"], "diagonal entries must be zero"),
+    (["compare", "--matrix", "{matrix}", "--alpha", "2"], "alpha 2.0 outside (0, 1)"),
+    (["compare", "--matrix", "{matrix}", "--mode", "nx1"],
+     "NX1 mode requires a baseline system name"),
+    (["compare", "--matrix", "{matrix}", "--baseline", "AML"],
+     "baseline 'AML' applies only in NX1 mode"),
+    (["match", "--source", "{labels}", "--target", "{labels}", "--metric", "equal",
+      "--threshold", "2"], "threshold must lie in [0, 1]"),
+    (["rank", "--report", "{truncated}"], "Expecting value: line 1 column 14 (char 13)"),
+    # a system name that ends in "=\0" puts a NUL in the path, which only a caller
+    # in this process can give
+    (["table", "--reference", "{ref}", "--alignment", "=\0={ref}", "--alignment", "B={ref}"],
+     "embedded null byte"),
+], ids=["matrix-and-reference", "non-zero-diagonal", "alpha-outside", "nx1-without-baseline",
+        "baseline-under-nxn", "threshold-outside", "truncated-report", "nul-in-alignment-path"])
+def test_invalid_input_exits_2_with_one_error_line(runner, tmp_path, args, message):
+    paths = {"matrix": str(fixture_path("anatomy-ifp")), "ref": write(tmp_path, "ref.tsv", REF),
+             "diagonal": write(tmp_path, "diagonal.tsv", "A\tB\nA\t1\t0\nB\t0\t0\n"),
+             "labels": write(tmp_path, "labels.tsv", LABELS),
+             "truncated": write(tmp_path, "truncated.json", '{"ranking": [')}
+    result = runner.invoke(main, [arg.format(**paths) for arg in args])
+    assert (result.exit_code, result.output) == (2, f"error: {message}\n")
+
+
+def bug(*_):
+    raise ValueError("a bug")
+
+
+#: Replaces the function `name` of the module alignsig.`module` with `bug`.
+BUG = """
+import alignsig.{module}
+
+def bug(*_):
+    raise ValueError("a bug")
+
+alignsig.{module}.{name} = bug
+"""
+
+
+@pytest.mark.parametrize("command, stage", [("compare", "siggraph.build_graph"),
+                                            ("table", "ingest.parse_alignment")])
+def test_a_bug_in_a_stage_exits_1_with_its_traceback(monkeypatch, tmp_path, command, stage):
+    # a ValueError that no input can cause is a bug, not a bad input: in
+    # process it propagates, and the CLI ends with its traceback
+    args = [command, *command_args(tmp_path, command)]
+    with monkeypatch.context() as patched:
+        patched.setattr(f"alignsig.{stage}", bug)
+        with pytest.raises(ValueError, match="^a bug$"):
+            main(args)
+    module, name = stage.split(".")
+    done = fresh_cli(*args, prelude=BUG.format(module=module, name=name))
+    assert (done.returncode, done.stdout) == (1, "")
+    assert "Traceback" in done.stderr and "error:" not in done.stderr
+    assert done.stderr.splitlines()[-1] == "ValueError: a bug"
 
 
 def test_too_many_systems_names_both_ways_forward(runner):
@@ -900,3 +961,41 @@ def test_pool_raises_the_first_bad_files_error(tmp_path, third, fifth, ref, erro
     # the reference is parsed before the pool starts, so its error ends the run first
     assert (code, stdout, last) == (2, b"", f"{ref == REF} 0 []")
     assert len(stderr) == 1 and stderr[0].startswith(error)
+
+
+#: Makes the workers parse any input on two CPUs, with a fork that fails on its
+#: second call as it does when the process limit is reached; at exit, prints
+#: to stderr whether a child process, running or ended, is left unreaped.
+FAILED_FORK = """
+import atexit, errno, os, sys
+from alignsig import ingest
+ingest.POOL_MIN_BYTES = 0
+ingest._cpus = lambda: 2
+forks, fork = [], os.fork
+
+def failing_fork():
+    forks.append(None)
+    if len(forks) == 2:
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    return fork()
+
+@atexit.register
+def children():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        print("a child is left", file=sys.stderr)
+    except ChildProcessError:
+        print("no child is left", file=sys.stderr)
+
+os.fork = failing_fork
+"""
+
+
+def test_a_failed_fork_exits_2_and_leaves_no_worker(tmp_path):
+    # an OSError from the workers is the environment's, as a missing path is
+    done = fresh_cli("table", *command_args(tmp_path, "table"), prelude=FAILED_FORK,
+                     watched=("alignsig.workers",))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.splitlines() == [
+        f"error: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}", "['alignsig.workers']",
+        "no child is left"]

@@ -3,6 +3,7 @@ import pickle
 import pytest
 
 from alignsig import errors
+from alignsig.model import ComparisonConfig
 
 #: Constructor arguments of every AlignsigError subclass in errors.py.
 ARGUMENTS = {
@@ -16,6 +17,7 @@ ARGUMENTS = {
     errors.UnwritableEntity: ("#a", "a line that begins with '#' is a comment"),
     errors.UniverseTooSmall: (10, 12),
     errors.DuplicateSystemName: ("A",),
+    errors.InvalidInput: ("alpha 2.0 outside (0, 1)",),
     errors.BadSystemName: ("blank system name",),
     errors.NegativeCount: ("A", "B", -1),
     errors.UndefinedStatistic: (),
@@ -57,3 +59,10 @@ def test_too_few_or_too_many_arguments_raise_type_error(cls):
         cls(*ARGUMENTS[cls][:-1])
     with pytest.raises(TypeError):
         cls(*ARGUMENTS[cls], "extra")
+
+
+def test_invalid_input_is_a_value_error():
+    # library callers that catch ValueError for an out-of-range argument keep working
+    assert issubclass(errors.InvalidInput, ValueError)
+    with pytest.raises(errors.InvalidInput, match=r"^alpha 2\.0 outside \(0, 1\)$"):
+        ComparisonConfig(alpha=2.0)
