@@ -31,7 +31,7 @@ def _write(path: Path | None, data: bytes) -> None:
         return
     try:
         path.write_bytes(data)
-    except OSError as exc:  # a directory, a missing parent, no permission
+    except (OSError, ValueError) as exc:  # a directory, a missing parent, no permission; a NUL
         _fail_validation(exc)
 
 
@@ -46,7 +46,7 @@ def _discordant_matrix(args, matrix: Path | None = None):
     if matrix is not None:
         if args.reference is not None or args.alignments:
             raise InvalidInput("give either --matrix or --reference/--alignment, not both")
-        return contingency.parse_matrix_tsv(matrix.read_bytes(), persp)
+        return contingency.parse_matrix_tsv(ingest.read_input(matrix), persp)
     if args.reference is None or len(args.alignments) < 2:
         raise InvalidInput("provide either --matrix or --reference plus >=2 --alignment entries")
     files = []
@@ -87,8 +87,8 @@ def match(args):
     from . import matcher  # numpy loads only for matching
 
     kind = MetricKind(args.metric)
-    src = ingest.parse_label_list(args.source.read_bytes())
-    tgt = ingest.parse_label_list(args.target.read_bytes())
+    src = ingest.parse_label_list(ingest.read_input(args.source))
+    tgt = ingest.parse_label_list(ingest.read_input(args.target))
     alignment = matcher.match(src, tgt, kind, args.threshold, kind.value)
     _write(args.output, ingest.write_alignment_tsv(alignment))
 
@@ -96,7 +96,7 @@ def match(args):
 def rank(args):
     """Print rank groups from a comparison report, one '&'-joined row per group."""
     try:
-        report = json.loads(args.report.read_text("utf-8"))
+        report = json.loads(ingest.read_input(args.report, "utf-8"))
     except UnicodeDecodeError as exc:
         raise Undecodable(exc.start, exc.reason, "UTF-8") from None
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep

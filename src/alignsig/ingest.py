@@ -134,7 +134,7 @@ def parse_alignment_xml(data: bytes, system_name: str) -> Alignment:
 
     `xmlcells.read_cells` reads the Cells' raw records, by a pattern learnt from
     the first Cell where the document has the shape OAEI tools write, else by
-    expat's callbacks. They are checked only once the whole document has
+    ElementTree's parser. They are checked only once the whole document has
     parsed, so that a syntax error anywhere beats a bad Cell.
     """
     from .xmlcells import read_cells  # only alignment files are XML
@@ -168,7 +168,7 @@ def parse_alignment(data: bytes, system_name: str) -> Alignment:
 #: processes, whose fork and pipes cost a few ms.  On a 2-CPU x86-64 host,
 #: `table` on six Alignment XML files in one process and with the workers
 #: (fresh interpreters, sizes interleaved, 31 runs each) broke even between
-#: 0.5 and 0.75 MiB in all for XML that expat's callbacks read (the workers
+#: 0.5 and 0.75 MiB in all for XML that the callback reader reads (the workers
 #: were faster in 8 and 25 of 31 runs), and between 2 and 3 MiB for XML that
 #: the pattern reader takes, which costs less per byte (in two sets, 7 and 19,
 #: then 10 and 23 of 31).  At 1 MiB the workers saved 8 ms on the first kind
@@ -177,16 +177,21 @@ def parse_alignment(data: bytes, system_name: str) -> Alignment:
 POOL_MIN_BYTES = 1024 * 1024
 
 
-def _read_and_parse(file: Tuple[str, str | os.PathLike]) -> Alignment:
-    """Parse the alignment file of one (system name, path) pair."""
-    name, path = file
+def read_input(path: str | os.PathLike, encoding: str | None = None) -> bytes | str:
+    """The bytes of an input file, or its text in `encoding`.  A path that
+    holds a NUL raises InvalidInput, where `open` raises a bare ValueError."""
     try:
-        fh = open(path, "rb")
+        fh = open(path, "rb" if encoding is None else "r", encoding=encoding)
     except ValueError as exc:  # a NUL, which no path can hold
         raise InvalidInput(str(exc)) from None
     with fh:
-        data = fh.read()
-    return parse_alignment(data, name)
+        return fh.read()
+
+
+def _read_and_parse(file: Tuple[str, str | os.PathLike]) -> Alignment:
+    """Parse the alignment file of one (system name, path) pair."""
+    name, path = file
+    return parse_alignment(read_input(path), name)
 
 
 def _keep(alignment: Alignment) -> Alignment:

@@ -257,6 +257,12 @@ class SimilarityMatrix(Record):
     col_ids: Tuple[str, ...]
     s: np.ndarray
 
+    def __eq__(self, other):  # an array's == is per cell; unhashable, as the array is
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.row_ids, self.col_ids) == (other.row_ids, other.col_ids)
+                and np.array_equal(self.s, other.s))
+
 
 def build_similarity_matrix(
     src: Sequence[Tuple[str, str]], tgt: Sequence[Tuple[str, str]], metric: MetricKind

@@ -2,8 +2,9 @@
 
 Documents in the shape OAEI tools write are read by `_read_in_shape`, with one
 pattern learnt from the first Cell, and every other document by
-`_read_with_callbacks`, with expat's callbacks. Both give the records that
-ElementTree would; `read_cells` picks the reader.
+`_read_with_callbacks`, with ElementTree's own parser and a target that builds
+no tree. Both give the records that ElementTree would; `read_cells` picks the
+reader.
 
 The pattern reader proves a document well-formed without parsing all of it.
 The document must be P C (G? C)* G? S: a prefix P, the first Cell C, more
@@ -22,13 +23,15 @@ each gap, and each Cell with or without a gap before it, is well-formed where
 the pattern finds it.
 
 `ingest.parse_alignment_xml` imports this module when it first reads an XML
-file, so that commands which read no XML import neither it nor expat.
+file, so that commands which read no XML import neither it nor expat; only a
+document out of the pattern reader's shape imports `xml.etree`.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import islice, repeat
+from types import SimpleNamespace
 from typing import List
 from xml.parsers import expat
 
@@ -161,17 +164,6 @@ class _LocalNames(dict):
         return local
 
 
-def _resource(attributes: List[str], names: _LocalNames) -> str:
-    """The value of the first attribute named ``resource`` in any namespace, of
-    an element's ``[name, value, ...]`` attribute list."""
-    items = iter(attributes)
-    for key in items:
-        value = next(items)
-        if names[key] == "resource":
-            return value
-    return ""
-
-
 def read_cells(document: bytes | str) -> list:
     """One raw ``(entity1, entity2, measure, relation)`` record per ``Cell``
     element of `document`, in start order, as ElementTree would read them.
@@ -180,9 +172,9 @@ def read_cells(document: bytes | str) -> list:
     namespace. An entity is its element's ``resource`` attribute, "" when
     absent; a measure or relation is its element's text up to its first child
     element, as ``.text`` is, and None when there is no such element. No tree is
-    built. A document that is not well-formed raises XmlSyntax with
-    ElementTree's message, and so does a reference to an undefined or external
-    entity in text, which ElementTree rejects where expat would skip it.
+    built. A document that ElementTree's parser rejects raises XmlSyntax with
+    its position and message: one that is not well-formed, and one with a
+    reference to an undefined or external entity in text.
 
     `_read_in_shape` reads the documents it can, and `_read_with_callbacks`
     every other, so that errors are always the callback reader's.
@@ -192,36 +184,41 @@ def read_cells(document: bytes | str) -> list:
 
 
 def _read_with_callbacks(document: bytes | str) -> List[list]:
-    """`read_cells` of any document, with expat's callbacks."""
-    # ElementTree's separator: a name in a namespace is "uri}local"
-    parser = expat.ParserCreate(namespace_separator="}")
-    parser.buffer_text = parser.ordered_attributes = True
+    """`read_cells` of any document, by ElementTree's parser with a target
+    that keeps each Cell's record and builds no tree."""
+    # imported here, so that only a document out of the pattern reader's shape
+    # loads xml.etree
+    from xml.etree.ElementTree import ParseError, XMLParser
+
     names = _LocalNames()
     cells: List[list] = []
     # the record of each open element that is a Cell and None for any other,
     # above a None that stands for the root's parent
     open_cells: List[list | None] = [None]
-    # the record, slot and text pieces of the measure or relation being read
+    # the text since the last end tag, or since the start of the measure or
+    # relation being read, whose record and slot `reading` holds
+    texts: List[str] = []
     reading = None
-    external = set()  # the external general entities the DTD declares
 
-    def start(tag: str, attributes: List[str]) -> None:
+    def start(tag: str, attributes: dict) -> None:
         nonlocal reading
         if reading is not None:  # the first child ends the text
-            cell, slot, pieces = reading
-            cell[slot] = "".join(pieces)  # <measure/> is blank, not absent
-            parser.CharacterDataHandler = reading = None
+            cell, slot = reading
+            cell[slot] = "".join(texts)  # <measure/> is blank, not absent
+            reading = None
         name = names[tag]
         cell = open_cells[-1]
         if cell is not None:
-            if name == "entity1":
-                cell[0] = _resource(attributes, names)
-            elif name == "entity2":
-                cell[1] = _resource(attributes, names)
+            if name == "entity1" or name == "entity2":
+                for key, value in attributes.items():  # the first "resource" in any namespace
+                    if names[key] == "resource":
+                        break
+                else:
+                    value = ""
+                cell[0 if name == "entity1" else 1] = value
             elif name == "measure" or name == "relation":
-                pieces: List[str] = []
-                reading = cell, 2 if name == "measure" else 3, pieces
-                parser.CharacterDataHandler = pieces.append
+                texts.clear()
+                reading = cell, 2 if name == "measure" else 3
         if name == "Cell":
             cell = ["", "", None, None]
             cells.append(cell)
@@ -232,43 +229,20 @@ def _read_with_callbacks(document: bytes | str) -> List[list]:
     def end(tag: str) -> None:
         nonlocal reading
         if reading is not None:  # as in `start`; inlined, since both run per element
-            cell, slot, pieces = reading
-            cell[slot] = "".join(pieces)
-            parser.CharacterDataHandler = reading = None
+            cell, slot = reading
+            cell[slot] = "".join(texts)
+            reading = None
+        texts.clear()
         open_cells.pop()
 
-    def declare(name, is_parameter_entity, value, *_) -> None:
-        if value is None and not is_parameter_entity:
-            external.add(name)
-
-    def undefined(name: str, *_) -> None:
-        # ElementTree's error: the reference, cut at 100 bytes
-        ref = f"&{name};".encode()[:100].decode("utf-8", "replace")
-        line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber
-        raise XmlSyntax((line, column), f"undefined entity {ref}: line {line}, column {column}")
-
-    def external_ref(context: str, *_) -> None:
-        # the context names the open entities, of which only this one is external
-        name, = external.intersection(context.split("\f"))
-        undefined(name)
-
-    parser.StartElementHandler = start
-    parser.EndElementHandler = end
-    parser.EntityDeclHandler = declare
-    parser.SkippedEntityHandler = undefined
-    parser.ExternalEntityRefHandler = external_ref
+    parser = XMLParser(target=SimpleNamespace(start=start, end=end, data=texts.append))
     try:
-        parser.Parse(document, True)
-    except expat.ExpatError as exc:
-        raise XmlSyntax((exc.lineno, exc.offset), str(exc)) from exc
+        parser.feed(document)
+        parser.close()
+    except ParseError as exc:
+        raise XmlSyntax(exc.position, str(exc)) from exc
     except (LookupError, ValueError) as exc:
         # an unknown or multi-byte encoding named by the XML declaration, which
         # opens line 1
         raise XmlSyntax((1, 0), str(exc)) from exc
-    finally:
-        # the handlers close over the parser: unset, they leave no cycle for
-        # the paused garbage collector
-        parser.StartElementHandler = parser.EndElementHandler = None
-        parser.CharacterDataHandler = parser.EntityDeclHandler = None
-        parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = None
     return cells

@@ -611,8 +611,22 @@ def test_bergmann_cap_below_two_exits_2(runner, cap):
     # in this process can give
     (["table", "--reference", "{ref}", "--alignment", "=\0={ref}", "--alignment", "B={ref}"],
      "embedded null byte"),
+    # ... and so in every other path read or written
+    (["compare", "--matrix", "x\0"], "embedded null byte"),
+    (["match", "--source", "x\0", "--target", "{labels}", "--metric", "equal"],
+     "embedded null byte"),
+    (["match", "--source", "{labels}", "--target", "x\0", "--metric", "equal"],
+     "embedded null byte"),
+    (["rank", "--report", "x\0"], "embedded null byte"),
+    (["compare", "--matrix", "{matrix}", "--dot", "x\0"], "embedded null byte"),
+    (["compare", "--matrix", "{matrix}", "--report", "x\0"], "embedded null byte"),
+    (["table", "--reference", "{ref}", "--alignment", "A={ref}", "--alignment", "B={ref}",
+      "--output", "x\0"], "embedded null byte"),
 ], ids=["matrix-and-reference", "non-zero-diagonal", "alpha-outside", "nx1-without-baseline",
-        "baseline-under-nxn", "threshold-outside", "truncated-report", "nul-in-alignment-path"])
+        "baseline-under-nxn", "threshold-outside", "truncated-report", "nul-in-alignment-path",
+        "nul-in-matrix-path", "nul-in-source-path", "nul-in-target-path",
+        "nul-in-rank-report-path", "nul-in-dot-path", "nul-in-compare-report-path",
+        "nul-in-output-path"])
 def test_invalid_input_exits_2_with_one_error_line(runner, tmp_path, args, message):
     paths = {"matrix": str(fixture_path("anatomy-ifp")), "ref": write(tmp_path, "ref.tsv", REF),
              "diagonal": write(tmp_path, "diagonal.tsv", "A\tB\nA\t1\t0\nB\t0\t0\n"),
@@ -764,13 +778,20 @@ def test_counting_tsv_alignments_loads_no_numpy(tmp_path, command):
                      "--alignment", f"S2={b}") == (0, "[]")
 
 
-def test_counting_xml_alignments_loads_expat_but_no_element_tree(tmp_path):
+@pytest.mark.parametrize("shaped, loaded", [
+    (True, "['xml.parsers.expat']"),
+    # XML_SYSTEM's Cells differ in their children, which leaves it to
+    # ElementTree's parser
+    (False, "['xml.parsers.expat', 'xml.etree']"),
+], ids=["oaei-shaped", "out-of-shape"])
+def test_counting_xml_alignments_loads_element_tree_only_out_of_shape(tmp_path, shaped, loaded):
     ref = write(tmp_path, "ref.tsv", REF)
-    a = write(tmp_path, "a.rdf", XML_SYSTEM)
+    document = XML_SYSTEM.replace("\n          <measure>0.5</measure>", "") if shaped else XML_SYSTEM
+    a = write(tmp_path, "a.rdf", document)
     b = write(tmp_path, "b.tsv", SYS_B)
     assert run_fresh("table", "--reference", ref, "--alignment", f"S1={a}",
                      "--alignment", f"S2={b}", watched=("xml.parsers.expat", "xml.etree")
-                     ) == (0, "['xml.parsers.expat']")
+                     ) == (0, loaded)
 
 
 def command_args(tmp_path, command):

@@ -7,12 +7,13 @@ from hypothesis import given, strategies as st
 from alignsig.contingency import DiscordantMatrix
 from alignsig.errors import BadSystemName, ModeMismatch
 from alignsig.fwer import HypothesisSet
-from alignsig.matcher import SimilarityMatrix
+from alignsig.matcher import SimilarityMatrix, build_similarity_matrix
 from alignsig.model import (
     Alignment,
     ComparisonConfig,
     ContingencyTable,
     Correction,
+    MetricKind,
     Mode,
     Perspective,
     Record,
@@ -208,6 +209,18 @@ def test_what_callers_read():
     assert make(DiscordantMatrix).systems == ("A", "B")
     assert make(SimilarityMatrix).s.shape == (1, 1)
     assert make(PairOutcome).loser == "B"
+
+
+def test_similarity_matrices_of_many_cells_equal_by_ids_and_cells():
+    # FIELDS' matrix has one cell, whose array == reads as one bool
+    labels = [("a", "optic nerve"), ("b", "retina")]
+    matrix = build_similarity_matrix(labels, labels, MetricKind.EQUAL)
+    assert matrix.s.shape == (2, 2)
+    assert matrix == build_similarity_matrix(labels, labels, MetricKind.EQUAL)
+    assert matrix != SimilarityMatrix(matrix.row_ids, matrix.col_ids, 1 - matrix.s)
+    assert matrix != SimilarityMatrix(matrix.row_ids, ("b", "a"), matrix.s)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(matrix)
 
 
 def test_defaults_are_class_attributes():
