@@ -103,3 +103,9 @@ class TooManySystems(AlignsigError):
 
 class EmptyTable(AlignsigError):
     pass
+
+
+class MatrixTooLarge(AlignsigError):
+    fields = ("n_source", "n_target", "budget")
+    template = ("{n_source} x {n_target} labels: the similarity matrix, 8 bytes a label pair, "
+                "would exceed its budget of {budget} bytes")

@@ -246,7 +246,8 @@ def parse_alignment_files(files: Sequence[Tuple[str, str | os.PathLike]],
             gc.enable()
 
 
-#: The most characters a label may hold, once stripped.  Every metric but
+#: The most characters a label may hold, once stripped and case-folded as the
+#: matcher compares it (case-folding may lengthen it).  Every metric but
 #: levenshtein takes time in proportion to the product of two labels'
 #: lengths, or more.  On a 2-vCPU x86-64 host, one pair of random 500-character
 #: labels took 0.32 s under smoa, the slowest metric, and 0.15 s under
@@ -258,7 +259,7 @@ MAX_LABEL_LENGTH = 500
 
 def parse_label_list(data: bytes) -> Tuple[Tuple[str, str], ...]:
     """Parse ``id<TAB>label`` lines into ordered (id, label) rows with unique
-    ids; a label longer than `MAX_LABEL_LENGTH` raises MalformedLine."""
+    ids; a label longer than `MAX_LABEL_LENGTH` once case-folded raises MalformedLine."""
     rows: List[Tuple[str, str]] = []
     seen = set()
     for line_no, line in _data_lines(data):
@@ -268,9 +269,10 @@ def parse_label_list(data: bytes) -> Tuple[Tuple[str, str], ...]:
         id_, label = fields[0].strip(), fields[1].strip()
         if not id_ or not label:
             raise MalformedLine(line_no, "empty id or label")
-        if len(label) > MAX_LABEL_LENGTH:
-            raise MalformedLine(line_no, f"label of {len(label)} characters, more than "
-                                         f"{MAX_LABEL_LENGTH}")
+        length = len(label.casefold())
+        if length > MAX_LABEL_LENGTH:
+            raise MalformedLine(line_no, f"label of {length} characters once case-folded, "
+                                         f"more than {MAX_LABEL_LENGTH}")
         if id_ in seen:
             raise DuplicateId(line_no, id_)
         seen.add(id_)

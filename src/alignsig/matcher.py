@@ -6,9 +6,11 @@ matching is extracted by Crouse's shortest augmenting path (Crouse 2016), the
 algorithm of scipy's `linear_sum_assignment`, ported to numpy so that the
 pairs are scipy's and scipy is not needed.  Each metric has one builder
 of the whole matrix: Levenshtein's runs Myers' bit vectors (Myers 1999;
-Hyyrö 2003) over every source label at once, packed into one Python int, in
-one pass per target label; the other eight call their scalar function on
-each pair.
+Hyyrö 2003) over every label of one side at once, packed into one Python
+int, in one pass per label of the other side; the other eight call their
+scalar function on each pair.  Every builder writes into one float64
+matrix, laid out as the solver reads it, and holds nothing else of that
+size; a matrix above `MAX_MATRIX_BYTES` is refused before it is allocated.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import EmptyTable, InvalidInput
+from .errors import EmptyTable, InvalidInput, MatrixTooLarge
 from .model import Alignment, MetricKind, Record, canonicalize_alignment  # MetricKind re-exported
 
 
@@ -44,34 +46,47 @@ def _bits(mask: np.ndarray) -> int:
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
+def _solver_matrix(n_src: int, n_tgt: int) -> Tuple[np.ndarray, np.ndarray]:
+    """An empty n_src x n_tgt float64 matrix laid out as `_assign_rows` reads
+    it, with the C-ordered array it views: itself when n_src <= n_tgt, else
+    the n_tgt x n_src array whose transpose it is."""
+    if n_src <= n_tgt:
+        s = np.empty((n_src, n_tgt))
+        return s, s
+    base = np.empty((n_tgt, n_src))
+    return base.T, base
+
+
 def _levenshtein_matrix(src_labels: Sequence[str], tgt_labels: Sequence[str]) -> np.ndarray:
     """Levenshtein similarity 1 - d / max(len a, len b) of every label pair.
 
     Two empty labels score 1.0 and one empty label 0.0.  The distances come
-    from Myers' bit vectors (Myers 1999; Hyyrö 2003) with every source label
-    in one Python int: label k is the segment of bits from starts[k], one per
-    character, and the guard bit above it stays 0.  Each step masks with
+    from Myers' bit vectors (Myers 1999; Hyyrö 2003) with every label of one
+    side in one Python int: label k is the segment of bits from starts[k], one
+    per character, and the guard bit above it stays 0.  Each step masks with
     `body`, every bit but the guards, so no carry or shift leaves its segment,
-    and one pass over a target's characters runs the DP of every source.  A
-    distance is then read off the segment: D[m][n] = n + #(+1) - #(-1) over
-    the m vertical deltas.
+    and one pass over a label of the other side runs the DP of every packed
+    label.  A distance is then read off the segment: D[m][n] = n + #(+1) -
+    #(-1) over the m vertical deltas.  The distance is symmetric, so the side
+    packed is the one that runs along the rows of `_solver_matrix`'s C-ordered
+    array, and each pass writes its similarities straight into one such row.
     """
-    src_len = np.array([len(a) for a in src_labels], dtype=np.intp)
-    starts = np.cumsum(src_len + 1) - (src_len + 1)
+    s, rows = _solver_matrix(len(src_labels), len(tgt_labels))
+    row_labels, packed = (src_labels, tgt_labels) if rows is s else (tgt_labels, src_labels)
+    packed_len = np.array([len(a) for a in packed], dtype=np.intp)
+    starts = np.cumsum(packed_len + 1) - (packed_len + 1)
     # the code point at every bit; no character is 0x110000, the guards' code
     codes = np.frombuffer(
-        "".join(a + "\0" for a in src_labels).encode("utf-32-le", "surrogatepass"), "<u4"
+        "".join(a + "\0" for a in packed).encode("utf-32-le", "surrogatepass"), "<u4"
     ).copy()
-    codes[starts + src_len] = 0x110000
-    peq = {c: _bits(codes == ord(c)) for c in set("".join(src_labels))}
+    codes[starts + packed_len] = 0x110000
+    peq = {c: _bits(codes == ord(c)) for c in set("".join(packed))}
     body = _bits(codes != 0x110000)
     lows = body & ~(body << 1)  # the bottom bit of each non-empty segment
     n_bytes = -(-len(codes) // 8)
-    tgt_len = np.array([len(b) for b in tgt_labels], dtype=np.intp)
-    dist = np.empty((len(tgt_labels), len(src_labels)), dtype=np.int64)
-    for t, target in enumerate(tgt_labels):
+    for row, label in zip(rows, row_labels):
         vp, vn = body, 0
-        for c in target:
+        for c in label:
             # x = Eq | VN; d0 = (((x & VP) + VP) ^ VP) | x
             x = peq.get(c, 0) | vn
             d0 = ((((x & vp) + vp) & body) ^ vp) | x
@@ -86,10 +101,11 @@ def _levenshtein_matrix(src_labels: Sequence[str], tgt_labels: Sequence[str]) ->
             np.unpackbits(np.frombuffer(v.to_bytes(n_bytes, "little"), np.uint8), bitorder="little")
             for v in (vp, vn)
         )
-        dist[t] = len(target) + np.add.reduceat(up.view(np.int8) - down.view(np.int8), starts,
-                                                 dtype=np.int64)
-    longer = np.maximum(src_len[:, None], tgt_len[None, :])
-    return 1.0 - dist.T / np.maximum(longer, 1)
+        dist = np.add.reduceat(up.view(np.int8) - down.view(np.int8), starts, dtype=np.int64)
+        dist += len(label)
+        np.divide(dist, np.maximum(packed_len, max(len(label), 1)), out=row)
+        np.subtract(1.0, row, out=row)
+    return s
 
 
 def _jaro(a: str, b: str) -> float:
@@ -225,9 +241,17 @@ def _smoa(a: str, b: str) -> float:
 def _pairwise(
     metric: Callable[[str, str], float]
 ) -> Callable[[Sequence[str], Sequence[str]], np.ndarray]:
-    """The matrix builder that calls a scalar metric on every label pair."""
+    """The matrix builder that calls a scalar metric on every label pair,
+    filling `_solver_matrix`'s matrix one contiguous row or column at a time."""
     def build(src_labels: Sequence[str], tgt_labels: Sequence[str]) -> np.ndarray:
-        return np.array([[metric(a, b) for b in tgt_labels] for a in src_labels], dtype=float)
+        s, rows = _solver_matrix(len(src_labels), len(tgt_labels))
+        if rows is s:
+            for row, a in zip(rows, src_labels):
+                row[:] = [metric(a, b) for b in tgt_labels]
+        else:
+            for row, b in zip(rows, tgt_labels):
+                row[:] = [metric(a, b) for a in src_labels]
+        return s
     return build
 
 
@@ -264,12 +288,21 @@ class SimilarityMatrix(Record):
                 and np.array_equal(self.s, other.s))
 
 
+#: The most bytes the float64 similarity matrix may take, 8 a label pair:
+#: 2 GiB admits the OAEI anatomy task (2744 x 3304 labels, 72.5 MB) and
+#: refuses whole-ontology largebio (about 79k x 67k labels, 42 GB).
+MAX_MATRIX_BYTES = 2 ** 31
+
+
 def build_similarity_matrix(
     src: Sequence[Tuple[str, str]], tgt: Sequence[Tuple[str, str]], metric: MetricKind
 ) -> SimilarityMatrix:
-    """The metric's similarity of every (id, label) row of src to every row of tgt."""
+    """The metric's similarity of every (id, label) row of src to every row of
+    tgt; MatrixTooLarge, before any allocation, past `MAX_MATRIX_BYTES`."""
     if len(src) == 0 or len(tgt) == 0:
         raise EmptyTable("label tables must be non-empty")
+    if len(src) * len(tgt) * 8 > MAX_MATRIX_BYTES:
+        raise MatrixTooLarge(len(src), len(tgt), MAX_MATRIX_BYTES)
     s = _MATRICES[metric]([normalize(label) for _, label in src],
                           [normalize(label) for _, label in tgt])
     return SimilarityMatrix(tuple(id_ for id_, _ in src), tuple(id_ for id_, _ in tgt), s)
@@ -351,8 +384,10 @@ def hungarian_assign(sim: SimilarityMatrix) -> List[Tuple[int, int]]:
     returned, sorted by row index.
     """
     s = np.asarray(sim.s, dtype=float)
-    if not np.isfinite(s).all():
+    # NaN propagates through min and max, so no full-size mask is needed
+    if s.size and not (np.isfinite(s.min()) and np.isfinite(s.max())):
         raise ValueError("similarity matrix has a non-finite entry")
+    # no copy of a matrix laid out by `_solver_matrix`
     if s.shape[0] > s.shape[1]:
         # scipy solves a tall matrix as its transpose
         return sorted((i, j) for j, i in enumerate(_assign_rows(np.ascontiguousarray(s.T))))

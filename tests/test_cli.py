@@ -475,8 +475,22 @@ class TestMatch:
         result = runner.invoke(main, ["match", "--source", src, "--target", tgt,
                                       "--metric", "smoa"])
         assert result.exit_code == 2
-        assert result.output == (f"error: line 2: label of {MAX_LABEL_LENGTH + 1} characters, "
-                                 f"more than {MAX_LABEL_LENGTH}\n")
+        assert result.output == (f"error: line 2: label of {MAX_LABEL_LENGTH + 1} characters "
+                                 f"once case-folded, more than {MAX_LABEL_LENGTH}\n")
+
+    def test_match_refuses_a_matrix_past_its_budget(self, runner, tmp_path):
+        from alignsig.matcher import MAX_MATRIX_BYTES
+
+        # 20,000 x 14,000 pairs of 8 bytes pass a budget of 2 GiB
+        assert 20000 * 14000 * 8 > MAX_MATRIX_BYTES
+        src, tgt = (write(tmp_path, f"{tag}.tsv", "".join(f"{tag}{i}\teye\n" for i in range(n)))
+                    for tag, n in (("s", 20000), ("t", 14000)))
+        result = runner.invoke(main, ["match", "--source", src, "--target", tgt,
+                                      "--metric", "levenshtein"])
+        assert result.exit_code == 2
+        assert result.output == (f"error: 20000 x 14000 labels: the similarity matrix, 8 bytes "
+                                 f"a label pair, would exceed its budget of {MAX_MATRIX_BYTES} "
+                                 f"bytes\n")
 
     def test_match_output_feeds_compare(self, runner, tmp_path):
         src = write(tmp_path, "src.tsv", LABELS)

@@ -24,6 +24,7 @@ ARGUMENTS = {
     errors.ModeMismatch: ("bergmann", "nx1"),
     errors.TooManySystems: (12, 10),
     errors.EmptyTable: ("label tables must be non-empty",),
+    errors.MatrixTooLarge: (78989, 66724, 2 ** 31),
 }
 
 

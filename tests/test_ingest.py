@@ -251,7 +251,17 @@ class TestLabelList:
         with pytest.raises(MalformedLine) as exc:
             parse_label_list(f"m1\teye\nm2\t{'e' * (cap + 1)}\n".encode())
         assert exc.value.line_no == 2
-        assert str(exc.value) == f"line 2: label of {cap + 1} characters, more than {cap}"
+        assert str(exc.value) == (f"line 2: label of {cap + 1} characters once case-folded, "
+                                  f"more than {cap}")
+
+    def test_the_cap_counts_what_case_folding_adds(self):
+        # "ﬃ" folds to "ffi": what the matcher compares is three times as long
+        assert ingest.MAX_LABEL_LENGTH == 500
+        rows = parse_label_list(f"m1\t{'ﬃ' * 166}\n".encode())
+        assert rows == (("m1", "ﬃ" * 166),)
+        with pytest.raises(MalformedLine) as exc:
+            parse_label_list(f"m1\teye\nm2\t{'ﬃ' * 167}\n".encode())
+        assert str(exc.value) == "line 2: label of 501 characters once case-folded, more than 500"
 
     def test_undecodable_byte_reports_its_offset(self):
         with pytest.raises(Undecodable) as exc:

@@ -1,8 +1,10 @@
 """String metrics and assignment against brute-force oracles."""
 
 import itertools
+import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 from alignsig import matcher
-from alignsig.errors import EmptyTable
+from alignsig.errors import EmptyTable, MatrixTooLarge
 from alignsig.matcher import (
     MetricKind,
     SimilarityMatrix,
@@ -277,6 +279,71 @@ class TestSimilarityMatrix:
     def test_empty_table_rejected(self):
         with pytest.raises(EmptyTable):
             build_similarity_matrix((), (("t", "x"),), MetricKind.EQUAL)
+
+
+def random_label_rows(rng, n, tag):
+    """n rows of random labels of 3-30 letters and separators."""
+    return tuple((f"{tag}{i}", "".join(rng.choice("abcdefghij _-")
+                                       for _ in range(rng.randint(3, 30))))
+                 for i in range(n))
+
+
+def traced_peak(run):
+    """The tracemalloc peak, in bytes, of run()."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMatrixMemory:
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+    def test_laid_out_as_the_solver_reads_it(self, metric, shape):
+        # C order when rows <= cols, else the transpose of a C-ordered matrix,
+        # so that hungarian_assign's solver copies nothing
+        src, tgt = (label_rows(tag, ["eye", "ear", "lens"][:n]) for tag, n in zip("st", shape))
+        s = build_similarity_matrix(src, tgt, metric).s
+        assert s.shape == shape and s.dtype == np.float64
+        assert (s if shape[0] <= shape[1] else s.T).flags.c_contiguous
+
+    @pytest.mark.parametrize("metric", [MetricKind.LEVENSHTEIN, MetricKind.EQUAL])
+    @pytest.mark.parametrize("shape", [(400, 480), (480, 400)])
+    def test_build_and_assign_hold_one_float64_matrix(self, metric, shape):
+        rng = random.Random(71)
+        src, tgt = (random_label_rows(rng, n, tag) for tag, n in zip("st", shape))
+        peak = traced_peak(lambda: hungarian_assign(build_similarity_matrix(src, tgt, metric)))
+        # 8 bytes a pair for the matrix; the rest grows with the labels, not
+        # with the pairs.  A full-size temporary of any dtype breaks the bound.
+        assert peak <= 10 * shape[0] * shape[1] + 64 * 1024
+
+
+class TestMatrixBudget:
+    def test_admits_anatomy_and_refuses_whole_ontology_largebio(self):
+        assert 2744 * 3304 * 8 <= matcher.MAX_MATRIX_BYTES < 78989 * 66724 * 8
+
+    def test_refuses_before_any_large_allocation(self):
+        n = math.isqrt(matcher.MAX_MATRIX_BYTES // 8) + 1
+        src, tgt = label_rows("s", ["eye"] * n), label_rows("t", ["ear"] * (n + 1))
+
+        def refused():
+            with pytest.raises(MatrixTooLarge) as exc:
+                build_similarity_matrix(src, tgt, MetricKind.LEVENSHTEIN)
+            assert exc.value.args == (n, n + 1, matcher.MAX_MATRIX_BYTES)
+            assert str(exc.value).startswith(f"{n} x {n + 1} labels: ")
+
+        # the matrix would take 2 GiB; not even the labels are normalized
+        assert traced_peak(refused) < 64 * 1024
+
+    def test_the_budget_bounds_the_matrix_bytes(self, monkeypatch):
+        monkeypatch.setattr(matcher, "MAX_MATRIX_BYTES", 8 * 12)
+        assert build_similarity_matrix(label_rows("s", "abc"), label_rows("t", "abcd"),
+                                       MetricKind.EQUAL).s.shape == (3, 4)
+        with pytest.raises(MatrixTooLarge):
+            build_similarity_matrix(label_rows("s", "a" * 13), label_rows("t", "a"),
+                                    MetricKind.EQUAL)
 
 
 # a small alphabet, so that labels share characters, plus non-ASCII characters,
